@@ -201,9 +201,10 @@ int main(int argc, char** argv) {
   const auto top = engine.TopLinks();
   for (size_t i = 0; i < top.size() && i < 3; ++i) {
     const auto episodes = engine.LinkEpisodes(top[i].link);
-    std::printf("  top link %s: suspected in %zu/%d windows, %zu episode(s), max est %.3f\n",
+    std::printf("  top link %s: suspected in %zu/%zu logged windows, %zu episode(s), "
+                "max est %.3f\n",
                 ft.topology().LinkName(top[i].link).c_str(), top[i].windows_suspected,
-                windows, episodes.size(), top[i].max_estimated_loss_rate);
+                engine.num_windows(), episodes.size(), top[i].max_estimated_loss_rate);
   }
   std::printf("\n");
 

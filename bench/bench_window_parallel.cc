@@ -93,7 +93,7 @@ bool SameReports(const std::vector<PathReport>& a, const std::vector<PathReport>
 }
 
 // One window over consolidated pinglists: each list split into `subshards` entry ranges, all
-// ranges executed on the pool with work-stealing (the same primitive RunSegmentSubsharded
+// ranges executed on the pool with work-stealing (the same primitive DetectorSystem::RunSegment
 // schedules), results folded per list in range order. Returns wall-clock seconds.
 struct TailRun {
   std::vector<PathReport> reports;  // all lists, list order then entry order

@@ -2,10 +2,11 @@
 // packet entropy, confirms each observed loss with two extra probes of the same content, and
 // aggregates (sent, lost) per path into a 30-second report for the diagnoser.
 //
-// Two execution modes: RunWindow returns the classic monolithic end-of-window report;
-// RunWindowInto streams each entry's counters into an ObservationStore shard as they are
-// produced, which is what the sharded probe-plane runtime uses — one pinger per shard, each on
-// its own deterministic RNG stream (ProbeEngine::ShardRng).
+// Every entry point runs the one entry loop: RunWindow returns the classic monolithic
+// end-of-window report and RunWindowTo streams each entry's counters into a ReportSink (a wire
+// emitter, or a StoreShardSink), both on one sequential RNG stream (ProbeEngine::ShardRng keyed
+// by pinger id in the sharded runtime); RunEntryRange runs a slice of the list with a per-entry
+// RNG stream, so the slices of one giant list can execute on different workers.
 #ifndef SRC_DETECTOR_PINGER_H_
 #define SRC_DETECTOR_PINGER_H_
 
@@ -43,9 +44,9 @@ struct PingerTraffic {
   int64_t bytes_sent = 0;
 };
 
-// Destination for streamed per-entry counters when the pinger reports somewhere other than a
-// local ObservationStore shard — the report plane's emitter encodes these into wire frames.
-// Calls arrive in pinglist-entry order from the single thread running the window.
+// Destination for streamed per-entry counters: the report plane's emitter encodes them into
+// wire frames, a StoreShardSink writes them into the local ObservationStore. Calls arrive in
+// pinglist-entry order from one thread at a time.
 class ReportSink {
  public:
   virtual ~ReportSink() = default;
@@ -59,6 +60,31 @@ class ReportSink {
     (void)target;
     (void)sketch;
   }
+  // One pinglist entry's result; `rtt` is null unless the entry carries a non-empty sketch,
+  // and the sink may move from it. Default: OnIntraRack for intra-rack entries, OnPath then
+  // OnPathRtt for matrix paths; other negative ids (a corrupt wire pinglist) are dropped,
+  // matching Diagnoser::Ingest.
+  virtual void OnEntry(PathId path_id, NodeId target, int64_t sent, int64_t lost,
+                       RttSketch* rtt);
+};
+
+// ReportSink over one ObservationStore shard — the direct-mode writer. The shard must belong
+// to the reporting pinger and be written by no other thread meanwhile. A path's RTT sketch
+// lands on the same record as its loss counters (RecordPathWithRtt).
+class StoreShardSink final : public ReportSink {
+ public:
+  explicit StoreShardSink(ObservationStore::Shard& shard) : shard_(shard) {}
+  void OnPath(PathId slot, NodeId target, int64_t sent, int64_t lost) override {
+    shard_.RecordPath(slot, target, sent, lost);
+  }
+  void OnIntraRack(NodeId target, int64_t sent, int64_t lost) override {
+    shard_.RecordIntraRack(target, sent, lost);
+  }
+  void OnEntry(PathId path_id, NodeId target, int64_t sent, int64_t lost,
+               RttSketch* rtt) override;
+
+ private:
+  ObservationStore::Shard& shard_;
 };
 
 class Pinger {
@@ -75,18 +101,9 @@ class Pinger {
   PingerWindowResult RunWindow(const ProbeEngine& engine, double window_seconds, Rng& rng,
                                const Watchdog* watchdog = nullptr) const;
 
-  // Same window, streamed: each entry's counters land in `shard` the moment they are measured.
-  // The shard must belong to this pinger and be written by no other thread. The watchdog, when
-  // given, filters intra-rack entries as in RunWindow (it is only read, so concurrent shards
-  // may share one instance between serial phases).
-  PingerTraffic RunWindowInto(const ProbeEngine& engine, double window_seconds, Rng& rng,
-                              ObservationStore::Shard& shard,
-                              const Watchdog* watchdog = nullptr) const;
-
-  // Same window, streamed into a ReportSink instead of a local shard — the report-plane
-  // execution mode, where counters leave the pinger as encoded wire frames. Identical probe
-  // trajectory to RunWindowInto on the same rng (both run the same entry loop), so the two
-  // modes are bit-identical when every report is delivered.
+  // Same window, streamed: each entry's counters reach `sink` the moment they are measured.
+  // The watchdog, when given, filters intra-rack entries as in RunWindow (it is only read, so
+  // concurrent pingers may share one instance between serial phases).
   PingerTraffic RunWindowTo(const ProbeEngine& engine, double window_seconds, Rng& rng,
                             ReportSink& sink, const Watchdog* watchdog = nullptr) const;
 
@@ -98,21 +115,21 @@ class Pinger {
   // are invariant to both the sub-shard partition and thread scheduling. Reports append to
   // `out` in entry order; the returned traffic covers this range only. (The per-entry keying
   // is a different — equally deterministic — RNG trajectory than the sequential per-pinger
-  // stream of RunWindowInto, so sub-sharded windows are comparable with each other, not with
-  // legacy ones.)
+  // stream of RunWindow, so sub-sharded windows are comparable with each other, not with
+  // whole-list ones.)
   PingerTraffic RunEntryRange(const ProbeEngine& engine, double window_seconds,
                               uint64_t window_seed, size_t begin, size_t end,
                               std::vector<PathReport>& out,
                               const Watchdog* watchdog = nullptr) const;
 
-  const Pinglist& pinglist() const { return pinglist_; }
-
  private:
-  // Shared core: runs every eligible entry and hands (path_id, target, sent, lost, rtt) to
-  // `sink`; rtt is null unless the engine samples RTTs and the entry's sketch is non-empty.
-  template <typename Sink>
-  PingerTraffic RunEntries(const ProbeEngine& engine, double window_seconds, Rng& rng,
-                           const Watchdog* watchdog, Sink&& sink) const;
+  // The entry loop: runs every eligible entry of [begin, end), drawing entry i's probes from
+  // entry_rng(i), and hands (path_id, target, sent, lost, rtt) to `sink`; rtt is null unless
+  // the engine samples RTTs and the entry's sketch is non-empty.
+  template <typename EntryRng, typename Sink>
+  PingerTraffic RunEntries(const ProbeEngine& engine, double window_seconds, size_t begin,
+                           size_t end, const Watchdog* watchdog, EntryRng&& entry_rng,
+                           Sink&& sink) const;
 
   Pinglist pinglist_;
   int confirm_packets_;

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <atomic>
 #include <map>
+#include <optional>
 #include <thread>
 #include <unordered_set>
 
@@ -371,315 +372,140 @@ void DetectorSystem::RunSegment(const FailureScenario& scenario, double seconds,
                                 options_.rtt_bins);
   }
 
-  // Serial phase: one shard per non-empty pinglist, opened before any thread runs. The caller's
-  // rng advances exactly once (the window seed) however many shards or threads execute, and
-  // each shard's stream is keyed by its pinger id — so the segment's counters are bit-identical
-  // at any thread count, including 1.
+  // Serial phase: the probe tasks — per non-empty pinglist the whole list on its per-pinger
+  // stream, or (probe_subshards > 0) up to probe_subshards entry ranges on per-entry streams,
+  // so a giant list spreads across workers. The caller's rng advances once (the window seed)
+  // however many tasks or threads run, so the counters are bit-identical at any thread count.
   ObservationStore& store = diagnoser_.store();
   store.EnsureSlots(matrix_.NumPaths());
   const uint64_t window_seed = rng();
-  if (options_.probe_subshards > 0) {
-    RunSegmentSubsharded(engine, seconds, window_seed, result);
-    return;
-  }
-  const bool report = options_.report_plane;
-  struct ShardWork {
+  const size_t splits = static_cast<size_t>(std::max(0, options_.probe_subshards));
+  struct Task {
     const Pinglist* list;
-    ObservationStore::Shard* shard;
-    std::unique_ptr<ReportEmitter> emitter;  // report-plane sink; null in direct mode
-  };
-  std::vector<ShardWork> work;
-  work.reserve(pinglists_.size());
-  for (const Pinglist& list : pinglists_) {
-    if (list.entries.empty()) {
-      continue;
-    }
-    // Report mode opens the shards here too: the collector folds into shards looked up by
-    // pinger id, and opening them at this serial point in pinglist order keeps shard creation
-    // order — and with it intra-rack record order — identical to direct mode.
-    ShardWork shard_work{&list, &store.OpenShard(list.pinger), nullptr};
-    if (report) {
-      // Frames route to the transport of the collector partition that owns this pinger —
-      // the agent side of the fabric's partition map.
-      Transport& transport =
-          *report_transports_[static_cast<size_t>(collector_group_->RouteOf(list.pinger))];
-      shard_work.emitter = std::make_unique<ReportEmitter>(
-          list.pinger, report_window_id_, report_seq_[list.pinger], store.slot_epochs(),
-          transport, options_.report_batch_entries, options_.report_key);
-    }
-    work.push_back(std::move(shard_work));
-  }
-
-  // Parallel phase: each shard is written by exactly one worker; traffic totals land in a
-  // per-shard array and are reduced in shard order afterwards. In report mode the worker
-  // writes wire frames to the transport instead of the store, and the collector is the
-  // store's only writer.
-  std::vector<PingerTraffic> traffic(work.size());
-  std::atomic<size_t> shards_left{work.size()};
-  auto run_shard = [&](size_t i) {
-    Rng shard_rng = ProbeEngine::ShardRng(window_seed, static_cast<uint64_t>(
-                                                           work[i].list->pinger));
-    Pinger pinger(*work[i].list, options_.confirm_packets);
-    // The watchdog filters intra-rack entries towards downed servers (it mutates only at
-    // serial points, so concurrent shards may read it).
-    if (work[i].emitter != nullptr) {
-      traffic[i] =
-          pinger.RunWindowTo(engine, seconds, shard_rng, *work[i].emitter, &watchdog_);
-      work[i].emitter->Flush();
-    } else {
-      traffic[i] =
-          pinger.RunWindowInto(engine, seconds, shard_rng, *work[i].shard, &watchdog_);
-    }
-    shards_left.fetch_sub(1, std::memory_order_release);
-  };
-  // The pool is sized by the configured thread count alone — shard-count fluctuations across
-  // segments (churn emptying a pinglist) must not tear workers down and restart them.
-  const size_t configured = options_.probe_threads != 0
-                                ? options_.probe_threads
-                                : std::max<size_t>(1, std::thread::hardware_concurrency());
-  if (configured <= 1 || work.size() <= 1) {
-    for (size_t i = 0; i < work.size(); ++i) {
-      run_shard(i);
-    }
-  } else {
-    if (pool_ == nullptr || pool_->num_threads() != configured) {
-      pool_ = std::make_unique<ThreadPool>(configured);
-    }
-    std::atomic<size_t> next{0};
-    size_t report_workers = 0;
-    if (report) {
-      // Concurrent ingest on the same pool, submitted FIRST so it holds workers for the
-      // whole segment: frames decode and fold while the remaining workers probe, instead of
-      // piling up in the transports until the barrier below. Store safety holds because the
-      // fold lanes write disjoint store shards (partitioned collectors x pinger-affine
-      // ingest shards), and every ingest task terminates unconditionally once all shards
-      // finished — even if it somehow only got scheduled after them.
-      const size_t collectors = collector_group_->num_collectors();
-      const size_t lanes = collectors * collector_group_->ingest_shards_per_collector();
-      // With enough workers, split ingest into one receiver (transports -> shard queues,
-      // unbounded so a lossless transport stays lossless) plus drain tasks over disjoint
-      // (collector, ingest shard) lanes; at least one worker must remain for probing.
-      const size_t drainers =
-          (lanes > 1 && configured >= 3) ? std::min(lanes, configured - 2) : 0;
-      if (drainers == 0) {
-        pool_->Submit([&] {
-          while (shards_left.load(std::memory_order_acquire) > 0) {
-            size_t folded = 0;
-            for (size_t c = 0; c < collector_group_->num_collectors(); ++c) {
-              folded += collector_group_->collector(c).PumpFrom(*report_transports_[c]);
-            }
-            if (folded == 0) {
-              std::this_thread::yield();
-            }
-          }
-        });
-        report_workers = 1;
-      } else {
-        pool_->Submit([&, collectors] {
-          std::vector<uint8_t> frame;
-          while (shards_left.load(std::memory_order_acquire) > 0) {
-            size_t moved = 0;
-            for (size_t c = 0; c < collectors; ++c) {
-              while (report_transports_[c]->Receive(frame)) {
-                collector_group_->collector(c).OfferUnbounded(std::move(frame));
-                frame.clear();
-                ++moved;
-              }
-            }
-            if (moved == 0) {
-              std::this_thread::yield();
-            }
-          }
-        });
-        const size_t shards_per_collector = collector_group_->ingest_shards_per_collector();
-        for (size_t d = 0; d < drainers; ++d) {
-          pool_->Submit([&, d, drainers, shards_per_collector] {
-            while (shards_left.load(std::memory_order_acquire) > 0) {
-              size_t processed = 0;
-              // Lane d, d + drainers, d + 2*drainers, ... — disjoint across drain tasks.
-              for (size_t lane = d; lane < collector_group_->num_collectors() *
-                                               shards_per_collector;
-                   lane += drainers) {
-                collector_group_->collector(lane / shards_per_collector)
-                    .DrainShardRange(lane % shards_per_collector,
-                                     lane % shards_per_collector + 1, 0, &processed);
-              }
-              if (processed == 0) {
-                std::this_thread::yield();
-              }
-            }
-          });
-        }
-        report_workers = 1 + drainers;
-      }
-    }
-    // In report mode the ingest tasks hold report_workers workers; the shard loop tasks
-    // share the rest (the drainer split above always leaves at least one).
-    const size_t shard_workers = report ? configured - report_workers : configured;
-    const size_t tasks = std::min(shard_workers, work.size());
-    for (size_t t = 0; t < tasks; ++t) {
-      pool_->Submit([&] {
-        for (size_t i = next.fetch_add(1); i < work.size(); i = next.fetch_add(1)) {
-          run_shard(i);
-        }
-      });
-    }
-    pool_->WaitAll();
-  }
-  if (report) {
-    PumpReportBoundary();
-    for (const ShardWork& shard_work : work) {
-      report_seq_[shard_work.list->pinger] = shard_work.emitter->next_seq();
-    }
-  }
-  for (const PingerTraffic& t : traffic) {
-    result.probes_sent += t.probes_sent;
-    result.bytes_sent += t.bytes_sent;
-  }
-}
-
-void DetectorSystem::PumpReportBoundary() {
-  if (!options_.report_pipeline) {
-    // Ingest barrier: everything sent and not dropped folds before the segment closes,
-    // which is what makes the lossless loopback bit-identical to direct mode — no report
-    // straddles a diagnosis boundary or a churn-driven slot invalidation.
-    for (size_t c = 0; c < collector_group_->num_collectors(); ++c) {
-      report_transports_[c]->Flush();
-      collector_group_->collector(c).PumpFrom(*report_transports_[c]);
-    }
-  } else {
-    // Pipelined: fold what the budget allows and let the rest straddle the boundary —
-    // epoch stamps make the late folds land exactly where on-time folds would have. The
-    // staleness enforcer then folds whatever has aged report_pipeline_depth boundaries
-    // regardless of budget, so max_fold_staleness <= depth is a guarantee, not a hope. The
-    // window end (RunWindowImpl) still drains fully.
-    const auto depth = static_cast<uint64_t>(options_.report_pipeline_depth);
-    for (size_t c = 0; c < collector_group_->num_collectors(); ++c) {
-      Collector& col = collector_group_->collector(c);
-      col.PumpFrom(*report_transports_[c], options_.report_pump_budget);
-      if (col.boundary() >= depth) {
-        col.DrainStale(col.boundary() - depth + 1);
-      }
-    }
-  }
-}
-
-// Sub-sharded segment execution (probe_subshards > 0): every pinglist's entry range is cut
-// into up to probe_subshards contiguous ranges, each an independent pool task drawing
-// per-entry RNG streams — so a giant pinglist spreads across workers instead of pinning the
-// segment's tail to one. Tasks buffer their PathReports; a serial fold in (pinglist, entry)
-// order then writes the store shards (or replays the report emitters), preserving the
-// single-writer shard contract, the legacy record order, and — in report mode — the
-// single-threaded per-pinger frame sequence the emitters require.
-void DetectorSystem::RunSegmentSubsharded(const ProbeEngine& engine, double seconds,
-                                          uint64_t window_seed, WindowResult& result) {
-  ObservationStore& store = diagnoser_.store();
-  const bool report = options_.report_plane;
-  const size_t splits = static_cast<size_t>(std::max(1, options_.probe_subshards));
-
-  // Serial phase: shards open in pinglist order (same creation — and intra-rack record —
-  // order as the legacy path); one Pinger per list, shared const by its sub-shard tasks.
-  struct ListWork {
-    const Pinglist* list;
-    ObservationStore::Shard* shard;
-    std::unique_ptr<Pinger> pinger;
-    size_t first_task = 0;
-    size_t num_tasks = 0;
-  };
-  struct SubShard {
-    size_t list_index;
     size_t begin;
     size_t end;
     std::vector<PathReport> reports;
     PingerTraffic traffic;
   };
-  std::vector<ListWork> lists;
-  std::vector<SubShard> tasks;
+  std::vector<Task> tasks;
   for (const Pinglist& list : pinglists_) {
-    if (list.entries.empty()) {
-      continue;
-    }
-    ListWork list_work{&list, &store.OpenShard(list.pinger),
-                       std::make_unique<Pinger>(list, options_.confirm_packets),
-                       tasks.size(), 0};
     const size_t n = list.entries.size();
-    const size_t pieces = std::min(splits, n);
+    const size_t pieces = std::min(splits == 0 ? 1 : splits, n);
     for (size_t p = 0; p < pieces; ++p) {
-      tasks.push_back(SubShard{lists.size(), n * p / pieces, n * (p + 1) / pieces, {}, {}});
+      tasks.push_back(Task{&list, n * p / pieces, n * (p + 1) / pieces, {}, {}});
     }
-    list_work.num_tasks = tasks.size() - list_work.first_task;
-    lists.push_back(std::move(list_work));
   }
 
-  // Parallel phase: sub-shards only read shared state (pinglist, engine, watchdog at a serial
-  // point) and write their own buffers — any scheduling order yields the same counters.
-  auto run_task = [&](size_t i) {
-    SubShard& task = tasks[i];
-    const ListWork& list_work = lists[task.list_index];
-    task.reports.reserve(task.end - task.begin);
-    task.traffic = list_work.pinger->RunEntryRange(engine, seconds, window_seed, task.begin,
-                                                   task.end, task.reports, &watchdog_);
+  // A task only reads shared state (pinglists, engine, the watchdog — which mutates only at
+  // serial points) and writes its own report buffer, so any scheduling order yields the same
+  // buffers. Given a sink (the serial path), a whole-list task streams into it instead.
+  auto run_task = [&](size_t i, ReportSink* sink) {
+    Task& task = tasks[i];
+    const Pinger pinger(*task.list, options_.confirm_packets);
+    if (splits > 0) {
+      task.reports.reserve(task.end - task.begin);
+      task.traffic = pinger.RunEntryRange(engine, seconds, window_seed, task.begin, task.end,
+                                          task.reports, &watchdog_);
+      return;
+    }
+    Rng rng = ProbeEngine::ShardRng(window_seed, static_cast<uint64_t>(task.list->pinger));
+    if (sink != nullptr) {
+      task.traffic = pinger.RunWindowTo(engine, seconds, rng, *sink, &watchdog_);
+      return;
+    }
+    PingerWindowResult probed = pinger.RunWindow(engine, seconds, rng, &watchdog_);
+    task.reports = std::move(probed.reports);
+    task.traffic = PingerTraffic{probed.probes_sent, probed.bytes_sent};
   };
+  // Serial fold of one pinglist's tasks (from task t) in entry order through one ReportSink:
+  // its store shard in direct mode, else an emitter routed to the pinger's collector
+  // partition; returns the next list's first task. With `probe`, each task runs here first
+  // (the serial path), so no report outlives its list. Shards open here in pinglist order in
+  // both modes, so shard — and intra-rack record — order matches. Serial emission keeps the
+  // transports' send order independent of scheduling: a lossy, reordering wire delivers the
+  // same frames at any thread count.
+  const bool report = options_.report_plane;
+  auto fold_list = [&](size_t t, bool probe) {
+    const Pinglist* list = tasks[t].list;
+    StoreShardSink direct(store.OpenShard(list->pinger));
+    std::optional<ReportEmitter> emitter;
+    if (report) {
+      emitter.emplace(list->pinger, report_window_id_, report_seq_[list->pinger],
+                      store.slot_epochs(),
+                      *report_transports_[static_cast<size_t>(
+                          collector_group_->RouteOf(list->pinger))],
+                      options_.report_batch_entries, options_.report_key);
+    }
+    ReportSink& sink = emitter.has_value() ? static_cast<ReportSink&>(*emitter) : direct;
+    for (; t < tasks.size() && tasks[t].list == list; ++t) {
+      if (probe) {
+        run_task(t, &sink);
+      }
+      result.probes_sent += tasks[t].traffic.probes_sent;
+      result.bytes_sent += tasks[t].traffic.bytes_sent;
+      std::vector<PathReport> reports = std::move(tasks[t].reports);  // freed once folded
+      for (PathReport& r : reports) {
+        sink.OnEntry(r.path_id, r.target, r.sent, r.lost, r.rtt.total() > 0 ? &r.rtt : nullptr);
+      }
+    }
+    if (emitter.has_value()) {
+      emitter->Flush();
+      report_seq_[list->pinger] = emitter->next_seq();
+    }
+    return t;
+  };
+
+  // The pool is sized by the configured thread count alone — task-count fluctuations across
+  // segments (churn emptying a pinglist) must not tear workers down and restart them.
   const size_t configured = options_.probe_threads != 0
                                 ? options_.probe_threads
                                 : std::max<size_t>(1, std::thread::hardware_concurrency());
-  if (configured <= 1 || tasks.size() <= 1) {
-    for (size_t i = 0; i < tasks.size(); ++i) {
-      run_task(i);
-    }
-  } else {
+  const bool serial = configured <= 1 || tasks.size() <= 1;
+  if (!serial) {
     if (pool_ == nullptr || pool_->num_threads() != configured) {
       pool_ = std::make_unique<ThreadPool>(configured);
     }
     std::atomic<size_t> next{0};
     const size_t workers = std::min(configured, tasks.size());
-    for (size_t t = 0; t < workers; ++t) {
+    for (size_t w = 0; w < workers; ++w) {
       pool_->Submit([&] {
         for (size_t i = next.fetch_add(1); i < tasks.size(); i = next.fetch_add(1)) {
-          run_task(i);
+          run_task(i, nullptr);
         }
       });
     }
     pool_->WaitAll();
   }
-
-  // Serial fold, in (pinglist, entry) order.
-  for (const ListWork& list_work : lists) {
-    std::unique_ptr<ReportEmitter> emitter;
-    if (report) {
-      Transport& transport = *report_transports_[static_cast<size_t>(
-          collector_group_->RouteOf(list_work.list->pinger))];
-      emitter = std::make_unique<ReportEmitter>(
-          list_work.list->pinger, report_window_id_, report_seq_[list_work.list->pinger],
-          store.slot_epochs(), transport, options_.report_batch_entries, options_.report_key);
-    }
-    for (size_t p = 0; p < list_work.num_tasks; ++p) {
-      SubShard& task = tasks[list_work.first_task + p];
-      result.probes_sent += task.traffic.probes_sent;
-      result.bytes_sent += task.traffic.bytes_sent;
-      for (const PathReport& r : task.reports) {
-        if (r.path_id == PinglistEntry::kIntraRackPath) {
-          if (emitter != nullptr) {
-            emitter->OnIntraRack(r.target, r.sent, r.lost);
-          } else {
-            list_work.shard->RecordIntraRack(r.target, r.sent, r.lost);
-          }
-        } else if (r.path_id >= 0) {
-          if (emitter != nullptr) {
-            emitter->OnPath(r.path_id, r.target, r.sent, r.lost);
-          } else {
-            list_work.shard->RecordPath(r.path_id, r.target, r.sent, r.lost);
-          }
-        }
-      }
-    }
-    if (emitter != nullptr) {
-      emitter->Flush();
-      report_seq_[list_work.list->pinger] = emitter->next_seq();
-    }
+  for (size_t t = 0; t < tasks.size();) {
+    t = fold_list(t, /*probe=*/serial);
   }
   if (report) {
-    PumpReportBoundary();
+    PumpReportBoundary(/*window_end=*/false);
+  }
+}
+
+void DetectorSystem::PumpReportBoundary(bool window_end) {
+  const bool barrier = !options_.report_pipeline || window_end;
+  const auto depth = static_cast<uint64_t>(options_.report_pipeline_depth);
+  for (size_t c = 0; c < collector_group_->num_collectors(); ++c) {
+    Collector& col = collector_group_->collector(c);
+    if (barrier) {
+      // Ingest barrier: everything sent and not dropped folds before the segment closes,
+      // which is what makes the lossless loopback bit-identical to direct mode — no report
+      // straddles a diagnosis boundary or a churn-driven slot invalidation. Pipelined mode
+      // defers folds, but never past the window.
+      report_transports_[c]->Flush();
+      col.PumpFrom(*report_transports_[c]);
+      continue;
+    }
+    // Pipelined: fold what the budget allows and let the rest straddle the boundary — epoch
+    // stamps make the late folds land exactly where on-time folds would have. The staleness
+    // enforcer then folds whatever has aged report_pipeline_depth boundaries regardless of
+    // budget, so max_fold_staleness <= depth is a guarantee, not a hope.
+    col.PumpFrom(*report_transports_[c], options_.report_pump_budget);
+    if (col.boundary() >= depth) {
+      col.DrainStale(col.boundary() - depth + 1);
+    }
   }
 }
 
@@ -722,19 +548,6 @@ bool DetectorSystem::PrepareHistory() {
   return history_log_ != nullptr || history_sink_ != nullptr;
 }
 
-LocalizeResult DetectorSystem::DiagnoseBoundary() {
-  switch (options_.streaming_view) {
-    case StreamingViewMode::kSliding:
-      return diagnoser_.DiagnoseTrailing(matrix_, watchdog_);
-    case StreamingViewMode::kDecay:
-      return diagnoser_.DiagnoseDecayed(matrix_, watchdog_);
-    case StreamingViewMode::kCumulative:
-      break;
-  }
-  return options_.incremental_diagnosis ? diagnoser_.DiagnoseRunning(matrix_, watchdog_)
-                                        : diagnoser_.DiagnoseRunningFull(matrix_, watchdog_);
-}
-
 double DetectorSystem::StreamingWindowResult::FirstDetectionSeconds(LinkId link) const {
   for (const SegmentDiagnosis& d : timeline) {
     for (const SuspectLink& suspect : d.localization.links) {
@@ -744,6 +557,48 @@ double DetectorSystem::StreamingWindowResult::FirstDetectionSeconds(LinkId link)
     }
   }
   return -1.0;
+}
+
+DetectorSystem::SegmentDiagnosis DetectorSystem::DiagnoseAt(int segment, double time_seconds,
+                                                             bool window_end, bool history) {
+  SegmentDiagnosis d{segment, time_seconds, {}, {}, {}};
+  // One read of the running totals feeds every consumer. It folds whatever records are still
+  // pending, so the diagnosis below reads the same serial point; the window-end Diagnose
+  // consumes (clears) the store, so everything that reads it runs first.
+  ObservationStore& store = diagnoser_.store();
+  const ObservationView totals = store.RunningTotals(matrix_.NumPaths(), watchdog_);
+  const std::span<const RttSketch> rtt =
+      options_.anomaly ? store.RttRunningTotals() : std::span<const RttSketch>{};
+  if (options_.anomaly) {
+    d.anomalies = anomaly_engine_.Observe(matrix_, totals, rtt);
+  }
+  if (window_end) {
+    // The merged RTT sketches at the close — the bit-identity surface the thread-count and
+    // report-vs-direct gates compare.
+    last_rtt_totals_.assign(rtt.begin(), rtt.end());
+  }
+  if (history) {
+    history_sealer_.CutBoundary(segment, time_seconds, totals);
+  }
+  d.server_link_alarms = diagnoser_.ServerLinkAlarms(watchdog_);
+  // The window end consumes the window; mid-window diagnoses localize over the view
+  // options_.streaming_view selects.
+  if (window_end) {
+    d.localization = diagnoser_.Diagnose(matrix_, watchdog_);
+  } else if (options_.streaming_view == StreamingViewMode::kSliding) {
+    d.localization = diagnoser_.DiagnoseTrailing(matrix_, watchdog_);
+  } else if (options_.streaming_view == StreamingViewMode::kDecay) {
+    d.localization = diagnoser_.DiagnoseDecayed(matrix_, watchdog_);
+  } else if (options_.incremental_diagnosis) {
+    d.localization = diagnoser_.DiagnoseRunning(matrix_, watchdog_);
+  } else {
+    d.localization = diagnoser_.DiagnoseRunningFull(matrix_, watchdog_);
+  }
+  if (history) {
+    history_sealer_.AttachDiagnosis(d.localization.links, d.server_link_alarms);
+    history_sealer_.AttachAnomalies(d.anomalies);
+  }
+  return d;
 }
 
 DetectorSystem::StreamingWindowResult DetectorSystem::RunWindowImpl(
@@ -819,60 +674,17 @@ DetectorSystem::StreamingWindowResult DetectorSystem::RunWindowImpl(
       if (seg % cadence == 0) {
         // Non-consuming diagnosis: the window keeps accumulating, and the final Diagnose
         // below sees exactly what a batch window would.
-        SegmentDiagnosis diagnosis;
-        diagnosis.segment = seg;
-        diagnosis.time_seconds = boundary;
-        diagnosis.localization = DiagnoseBoundary();
-        diagnosis.server_link_alarms = diagnoser_.ServerLinkAlarms(watchdog_);
-        if (options_.anomaly) {
-          // The boundary diagnosis already folded pending records; RunningTotals here is the
-          // same serial point it read, and the RTT sketches folded alongside it.
-          ObservationStore& store = diagnoser_.store();
-          const ObservationView totals = store.RunningTotals(matrix_.NumPaths(), watchdog_);
-          diagnosis.anomalies =
-              anomaly_engine_.Observe(matrix_, totals, store.RttRunningTotals());
-        }
-        if (history) {
-          // RunningTotals here is idempotent — the boundary diagnosis already folded pending
-          // records — so the cut sees the same serial point the diagnosis read.
-          history_sealer_.CutBoundary(
-              seg, boundary, diagnoser_.store().RunningTotals(matrix_.NumPaths(), watchdog_));
-          history_sealer_.AttachDiagnosis(diagnosis.localization.links,
-                                          diagnosis.server_link_alarms);
-          history_sealer_.AttachAnomalies(diagnosis.anomalies);
-        }
-        out.timeline.push_back(std::move(diagnosis));
+        out.timeline.push_back(DiagnoseAt(seg, boundary, /*window_end=*/false, history));
       }
     }
   }
-  if (options_.report_plane && options_.report_pipeline) {
-    // Pipelined mode defers folds, never past the window: drain everything before the final
-    // diagnosis, so the window-end result over a lossless transport matches barriered mode.
-    for (size_t c = 0; c < collector_group_->num_collectors(); ++c) {
-      report_transports_[c]->Flush();
-      collector_group_->collector(c).PumpFrom(*report_transports_[c]);
-    }
+  if (options_.report_plane) {
+    PumpReportBoundary(/*window_end=*/true);
   }
-  result.server_link_alarms = diagnoser_.ServerLinkAlarms(watchdog_);
-  if (options_.anomaly) {
-    // Window-end anomaly boundary: observed before Diagnose() consumes the store, like the
-    // history cut below. The merged RTT sketches are captured here too — the bit-identity
-    // surface the thread-count and report-vs-direct gates compare.
-    ObservationStore& store = diagnoser_.store();
-    const ObservationView totals = store.RunningTotals(matrix_.NumPaths(), watchdog_);
-    result.anomalies = anomaly_engine_.Observe(matrix_, totals, store.RttRunningTotals());
-    const std::span<const RttSketch> rtt = store.RttRunningTotals();
-    last_rtt_totals_.assign(rtt.begin(), rtt.end());
-  } else {
-    last_rtt_totals_.clear();
-  }
-  if (history) {
-    // The window-end delta must be cut before Diagnose() — it consumes (clears) the store.
-    // The window-end suspects attach right after it runs.
-    history_sealer_.CutBoundary(segments, window,
-                                diagnoser_.store().RunningTotals(matrix_.NumPaths(), watchdog_));
-  }
-  result.localization = diagnoser_.Diagnose(matrix_, watchdog_);
+  SegmentDiagnosis end = DiagnoseAt(segments, window, /*window_end=*/true, history);
+  result.localization = end.localization;
+  result.server_link_alarms = end.server_link_alarms;
+  result.anomalies = end.anomalies;
   // Detection and localization share the window's data: alarms are available one window after
   // the failure manifests, with no extra probing round.
   result.detection_latency_seconds = options_.window_seconds;
@@ -880,12 +692,9 @@ DetectorSystem::StreamingWindowResult DetectorSystem::RunWindowImpl(
     // The window-end diagnosis always happens, so the timeline always records it — whether or
     // not the last segment lands on the cadence. FirstDetectionSeconds therefore never misses
     // a failure the batch window would have caught.
-    out.timeline.push_back(SegmentDiagnosis{segments, window, result.localization,
-                                            result.server_link_alarms, result.anomalies});
+    out.timeline.push_back(std::move(end));
   }
   if (history) {
-    history_sealer_.AttachDiagnosis(result.localization.links, result.server_link_alarms);
-    history_sealer_.AttachAnomalies(result.anomalies);
     const SealedWindow sealed = history_sealer_.Finish(
         matrix_.NumPaths(), result.churn_events_applied, overlay_.NumDeadLinks(),
         result.probes_sent, result.bytes_sent);

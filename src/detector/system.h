@@ -2,10 +2,12 @@
 // computation (PMC or a structured matrix), probing (controller -> pingers -> probe engine),
 // and loss localization (diagnoser/PLL), organized in 30 s windows within 10-minute cycles.
 //
-// Window execution is sharded: each non-empty pinglist becomes one shard, shards run
-// concurrently on a thread pool (probe_threads), and every shard streams its counters into the
-// diagnoser's ObservationStore on its own RNG stream keyed by (window seed, pinger id) — so a
-// window's WindowResult is bit-identical at any thread count.
+// Window execution is sharded: each non-empty pinglist becomes one probe task (or, with
+// probe_subshards, several entry-range tasks) run on a thread pool (probe_threads) into its
+// own report buffer, on RNG streams keyed by (window seed, pinger id[, entry]); a serial fold
+// hands the buffers in pinglist order to the ObservationStore — directly, or as wire frames
+// the report plane folds at the segment-end barrier. Results are bit-identical at any thread
+// count.
 //
 // Topology churn runs through ApplyTopologyDelta(): overlay update -> incremental probe-matrix
 // repair (IncrementalPmc) -> minimal per-pinger pinglist diffs — the milliseconds-scale
@@ -124,8 +126,9 @@ struct DetectorSystemOptions {
   // All N fold into the one diagnosis-tier store — their partitions are disjoint, so they
   // ingest in parallel with no cross-collector barrier.
   size_t report_collectors = 1;
-  // Ingest shards per collector instance: pinger-affine decode/fold lanes drained by
-  // concurrent pool tasks when probe_threads allows (see RunSegment's worker split).
+  // Ingest shards per collector instance: pinger-affine decode/fold lanes (see
+  // CollectorOptions::ingest_shards). The in-system segment barrier drains them in one pass;
+  // a standalone collector may drain them on concurrent threads.
   size_t report_ingest_shards = 1;
   // Pipelined report plane: drop the per-segment flush-and-drain barrier and let frames
   // straddle segment boundaries — the (slot, epoch) stamps make late folds land exactly
@@ -374,18 +377,19 @@ class DetectorSystem {
   // trajectory as before episodes existed.
   void RunSpan(const FailureScenario& scenario, double t0, double t1, Rng& rng,
                WindowResult& result);
+  // One probe slice: per-pinger (or per-entry-range) tasks probe into report buffers on the
+  // pool, then a serial fold in (pinglist, entry) order writes each list through its
+  // ReportSink — the store shard, or a report emitter — and the report plane pumps. At one
+  // thread a whole-list task streams into the sink directly, with no buffer.
   void RunSegment(const FailureScenario& scenario, double seconds, Rng& rng,
                   WindowResult& result);
-  // RunSegment's probe_subshards > 0 body: entry-range sub-shards probe into per-task report
-  // buffers on the pool, then a serial fold in (pinglist, entry) order writes the store
-  // shards (or the report emitters).
-  void RunSegmentSubsharded(const ProbeEngine& engine, double seconds, uint64_t window_seed,
-                            WindowResult& result);
-  // End-of-segment report-plane handling, shared by both segment bodies: the barriered
-  // flush-and-drain, or the pipelined budgeted pump + staleness enforcement.
-  void PumpReportBoundary();
-  // The localization for one mid-window boundary, per options_.streaming_view.
-  LocalizeResult DiagnoseBoundary();
+  // End-of-segment report-plane fold: the barriered flush-and-drain, or the pipelined
+  // budgeted pump + staleness enforcement; at the window end always the full drain.
+  void PumpReportBoundary(bool window_end);
+  // One diagnosis boundary: reads the running totals once and feeds, in order, the anomaly
+  // engine, the history cut, the server-link alarms and the localization (the consuming
+  // window-end Diagnose when `window_end`, else the options_.streaming_view diagnosis).
+  SegmentDiagnosis DiagnoseAt(int segment, double time_seconds, bool window_end, bool history);
   // (Re)opens the window log when history_dir changed; true when any sink wants this
   // window sealed.
   bool PrepareHistory();

@@ -3,7 +3,7 @@
 // and a full queue drops-and-counts, like a saturated ingest stage should). Frames from
 // different pingers never touch the same ObservationStore shard, so the drain side splits the
 // same way: each ingest shard decodes and folds independently, and disjoint shard ranges can
-// drain on concurrent pool tasks with no lock between them. Per-shard stats roll up into one
+// drain on concurrent threads with no lock between them. Per-shard stats roll up into one
 // CollectorStats view.
 //
 // Delivery tolerance, in line with what a real report network does to frames:
@@ -115,8 +115,9 @@ class Collector {
   bool Offer(std::vector<uint8_t> frame);
 
   // Producer side without the capacity bound — for a pump that owns delivery end-to-end
-  // (in-system receiver task, PumpFrom) and must not turn a lossless transport into a lossy
-  // one. Memory is bounded by the transport backlog instead of queue_capacity.
+  // (PumpFrom, or an external receive loop feeding concurrent drainers) and must not turn a
+  // lossless transport into a lossy one. Memory is bounded by the transport backlog instead
+  // of queue_capacity.
   void OfferUnbounded(std::vector<uint8_t> frame);
 
   // Serial consumer: decodes and folds queued frames across all shards, applying pending

@@ -2,9 +2,8 @@
 // segment adapts the pinger's streamed counters (ReportSink) into batched wire frames: every
 // path record is stamped with the slot epoch current at probe time, records accumulate until
 // the batch fills, and Flush() seals the batch into one ReportCodec frame — sequence-numbered
-// per (pinger, window) — and Send()s it on the transport. Runs entirely on the shard's own
-// thread; the only shared things it touches are the read-only epoch view and the
-// thread-safe transport.
+// per (pinger, window) — and Send()s it on the transport. Runs on one thread at a time; the
+// only shared things it touches are the read-only epoch view and the thread-safe transport.
 #ifndef SRC_REPORT_EMITTER_H_
 #define SRC_REPORT_EMITTER_H_
 

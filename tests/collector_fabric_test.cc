@@ -393,40 +393,61 @@ TEST(CollectorFabric, PipelinedBoundedStalenessUnderDropAndReorder) {
   f.type = FailureType::kFullLoss;
   scenario.failures.push_back(f);
 
-  DetectorSystemOptions options = FabricTestOptions(120);
-  options.probe_threads = 1;
-  options.report_plane = true;
-  options.report_collectors = 2;
-  options.report_ingest_shards = 2;
-  options.report_pipeline = true;
-  options.report_pipeline_depth = 2;
-  options.report_pump_budget = 1;  // starve the pump so the enforcer has to do the work
-  DetectorSystem system(routing, options);
-  system.SetReportTransportFactory([](size_t i) {
-    LoopbackOptions loopback;
-    loopback.drop_rate = 0.15;
-    loopback.reorder_rate = 0.4;
-    loopback.seed = 31 + i;
-    return std::make_unique<LoopbackTransport>(loopback);
-  });
-  Rng rng(5);
-  const auto result = system.RunWindowStreaming(scenario, {}, rng);
+  // Folds happen only at the segment-end barrier, never concurrently with probing, so the
+  // whole timeline — mid-window boundaries included — is the same at every thread count.
+  DetectorSystem::StreamingWindowResult reference;
+  for (const size_t threads : {1u, 2u, 8u}) {
+    const std::string when = "threads=" + std::to_string(threads);
+    DetectorSystemOptions options = FabricTestOptions(120);
+    options.probe_threads = threads;
+    options.report_plane = true;
+    options.report_collectors = 2;
+    options.report_ingest_shards = 2;
+    options.report_pipeline = true;
+    options.report_pipeline_depth = 2;
+    options.report_pump_budget = 1;  // starve the pump so the enforcer has to do the work
+    DetectorSystem system(routing, options);
+    system.SetReportTransportFactory([](size_t i) {
+      LoopbackOptions loopback;
+      loopback.drop_rate = 0.15;
+      loopback.reorder_rate = 0.4;
+      loopback.seed = 31 + i;
+      return std::make_unique<LoopbackTransport>(loopback);
+    });
+    Rng rng(5);
+    const auto result = system.RunWindowStreaming(scenario, {}, rng);
 
-  const CollectorStats stats = system.collector_group()->stats();
-  EXPECT_GT(stats.frames_folded, 0u);
-  EXPECT_GT(stats.frames_straddled, 0u) << "budget 1 never deferred a fold — not pipelined";
-  EXPECT_GT(stats.max_fold_staleness, 0u);
-  EXPECT_LE(stats.max_fold_staleness,
-            static_cast<uint64_t>(options.report_pipeline_depth))
-      << "bounded-staleness contract broken";
-  EXPECT_EQ(stats.decode_errors, 0u);
-  EXPECT_EQ(stats.duplicates_dropped, 0u);
+    const CollectorStats stats = system.collector_group()->stats();
+    EXPECT_GT(stats.frames_folded, 0u) << when;
+    EXPECT_GT(stats.frames_straddled, 0u) << when << ": budget 1 never deferred a fold";
+    EXPECT_GT(stats.max_fold_staleness, 0u) << when;
+    EXPECT_LE(stats.max_fold_staleness,
+              static_cast<uint64_t>(options.report_pipeline_depth))
+        << when << ": bounded-staleness contract broken";
+    EXPECT_EQ(stats.decode_errors, 0u) << when;
+    EXPECT_EQ(stats.duplicates_dropped, 0u) << when;
 
-  bool found = false;
-  for (const SuspectLink& s : result.window.localization.links) {
-    found |= s.link == f.link;
+    bool found = false;
+    for (const SuspectLink& s : result.window.localization.links) {
+      found |= s.link == f.link;
+    }
+    EXPECT_TRUE(found) << when << ": full-loss failure lost in the pipelined report plane";
+
+    if (threads == 1) {
+      reference = result;
+      continue;
+    }
+    ExpectIdenticalWindows(reference.window, result.window, when);
+    ASSERT_EQ(result.timeline.size(), reference.timeline.size()) << when;
+    for (size_t t = 0; t < result.timeline.size(); ++t) {
+      EXPECT_EQ(result.timeline[t].localization.links,
+                reference.timeline[t].localization.links)
+          << when << " boundary " << t;
+      EXPECT_EQ(result.timeline[t].server_link_alarms,
+                reference.timeline[t].server_link_alarms)
+          << when << " boundary " << t;
+    }
   }
-  EXPECT_TRUE(found) << "full-loss failure lost in the pipelined report plane";
 }
 
 // On a lossless wire the pipelined window end must converge to exactly the direct-mode

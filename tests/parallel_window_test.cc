@@ -4,6 +4,7 @@
 // filtering, and epoch-based slot invalidation with mid-window slot reuse.
 #include <gtest/gtest.h>
 
+#include <string>
 #include <vector>
 
 #include "src/detector/observation_store.h"
@@ -121,6 +122,60 @@ TEST(ParallelWindow, SubshardedBitIdenticalAcrossThreadAndSubshardCounts) {
       ExpectIdenticalWindows(baseline, run,
                              "threads=" + std::to_string(threads) +
                                  " subshards=" + std::to_string(subshards));
+    }
+  }
+}
+
+TEST(ParallelWindow, SubshardedWindowsKeepRttSketches) {
+  // With the anomaly plane on, sub-sharded windows carry every entry's RTT sketch alongside
+  // its loss counters — in direct and report-plane mode alike — so the merged per-slot
+  // sketches are non-empty and identical across the sub-shard x thread grid.
+  const FatTree ft(4);
+  const FatTreeRouting routing(ft);
+  FailureScenario scenario;
+  LinkFailure f;
+  f.link = ft.AggCoreLink(1, 0, 1);
+  f.type = FailureType::kRandomPartial;
+  f.loss_rate = 0.05;
+  scenario.failures.push_back(f);
+
+  struct Run {
+    DetectorSystem::WindowResult window;
+    std::vector<RttSketch> rtt;
+  };
+  auto run = [&](bool report_plane, int subshards, size_t threads) {
+    DetectorSystemOptions options;
+    options.pmc.alpha = 2;
+    options.pmc.beta = 1;
+    options.controller.packets_per_second = 50;
+    options.anomaly = true;
+    options.report_plane = report_plane;
+    options.probe_subshards = subshards;
+    options.probe_threads = threads;
+    DetectorSystem system(routing, options);
+    Rng rng(8642);
+    Run out{system.RunWindow(scenario, rng), {}};
+    const std::span<const RttSketch> rtt = system.last_window_rtt_totals();
+    out.rtt.assign(rtt.begin(), rtt.end());
+    return out;
+  };
+
+  const Run baseline = run(/*report_plane=*/false, /*subshards=*/1, /*threads=*/1);
+  int64_t samples = 0;
+  for (const RttSketch& sketch : baseline.rtt) {
+    samples += sketch.total();
+  }
+  EXPECT_GT(samples, 0) << "sub-sharded window dropped its RTT sketches";
+  for (const bool report_plane : {false, true}) {
+    for (const int subshards : {1, 2, 4}) {
+      for (const size_t threads : {1u, 2u, 8u}) {
+        const std::string when = std::string(report_plane ? "report" : "direct") +
+                                 " subshards=" + std::to_string(subshards) +
+                                 " threads=" + std::to_string(threads);
+        const Run other = run(report_plane, subshards, threads);
+        ExpectIdenticalWindows(baseline.window, other.window, when);
+        EXPECT_EQ(baseline.rtt, other.rtt) << when;
+      }
     }
   }
 }
