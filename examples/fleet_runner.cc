@@ -313,6 +313,7 @@ int RunCollectorRole(const Flags& flags) {
   collector_options.key = key;
   collector_options.liveness_horizon =
       static_cast<uint64_t>(flags.GetInt("horizon", 2));  // windows of silence = stale
+  collector_options.rtt_bins = options.rtt_bins;
   Collector collector(diagnoser.store(), collector_options);
   collector.SetPartition(&partition, static_cast<int>(index));
   collector.BeginWindow(1);

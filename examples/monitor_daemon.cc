@@ -316,6 +316,7 @@ int RunCollector(const detector::Flags& flags) {
   // Liveness in window units: the clock ticks once per window advance, so a pinger silent
   // for `horizon` windows shows up in StalePingers().
   collector_options.liveness_horizon = horizon;
+  collector_options.rtt_bins = options.rtt_bins;
   Collector collector(diagnoser.store(), collector_options);
   collector.SetPartition(&partition, partition_index);
   collector.BeginWindow(1);

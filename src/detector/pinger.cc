@@ -1,6 +1,7 @@
 #include "src/detector/pinger.h"
 
 #include <algorithm>
+#include <optional>
 #include <utility>
 
 namespace detector {
@@ -92,9 +93,11 @@ PingerTraffic Pinger::RunEntries(const ProbeEngine& engine, double window_second
     Rng& rng = entry_rng(i);
     // Matrix entries sample RTTs when the engine observes them; intra-rack probes stay
     // loss-only (the anomaly plane runs over the probe matrix).
-    const bool sample_rtt = engine.rtt_observation() && entry.path_id >= 0;
-    RttSketch rtt = sample_rtt ? RttSketch(engine.rtt_sketch_bins()) : RttSketch{};
-    RttSketch* rtt_ptr = sample_rtt ? &rtt : nullptr;
+    std::optional<RttSketch> rtt;
+    if (engine.rtt_observation() && entry.path_id >= 0) {
+      rtt.emplace(engine.rtt_sketch_bins());
+    }
+    RttSketch* rtt_ptr = rtt.has_value() ? &*rtt : nullptr;
     PathObservation obs = engine.SimulatePath(entry.route, pinglist_.pinger,
                                               entry.target_server,
                                               static_cast<int>(packets), rng, rtt_ptr);
@@ -108,7 +111,7 @@ PingerTraffic Pinger::RunEntries(const ProbeEngine& engine, double window_second
     traffic.probes_sent += obs.sent;
     traffic.bytes_sent += obs.sent * engine.config().probe_bytes * 2;  // request + echo
     sink(entry.path_id, entry.target_server, obs.sent, obs.lost,
-         rtt.total() > 0 ? &rtt : nullptr);
+         rtt_ptr != nullptr && rtt_ptr->total() > 0 ? rtt_ptr : nullptr);
   }
   return traffic;
 }

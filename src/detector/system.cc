@@ -88,6 +88,7 @@ void DetectorSystem::PrepareReportFabric() {
   group_options.collector.ingest_shards = std::max<size_t>(1, options_.report_ingest_shards);
   group_options.collector.key = options_.report_key;
   group_options.collector.liveness_horizon = options_.report_liveness_horizon;
+  group_options.collector.rtt_bins = options_.rtt_bins;
   const bool hardening_changed = applied_report_key_ != options_.report_key ||
                                  applied_liveness_horizon_ != options_.report_liveness_horizon;
   applied_report_key_ = options_.report_key;

@@ -1,5 +1,7 @@
 #include "src/report/codec.h"
 
+#include <algorithm>
+#include <bit>
 #include <limits>
 
 #include "src/common/crc32.h"
@@ -49,69 +51,103 @@ const char* DecodeStatusName(DecodeStatus status) {
   return "unknown";
 }
 
-void ReportCodec::Encode(const ReportFrame& frame, std::vector<uint8_t>& out,
-                         const ReportKey& key) {
-  out.clear();
-  out.push_back(kMagic0);
-  out.push_back(kMagic1);
-  out.push_back(kVersion);
-  out.resize(kHeaderPos, 0);  // reserve the tag slot; filled once the payload is complete
-  PutVarint(out, static_cast<uint64_t>(frame.pinger));
-  PutVarint(out, frame.window_id);
-  PutVarint(out, frame.seq);
-  PutVarint(out, frame.paths.size());
-  PutVarint(out, frame.intra.size());
+namespace {
+
+size_t VarintSize(uint64_t value) {
+  return value < 0x80 ? 1 : static_cast<size_t>(std::bit_width(value) + 6) / 7;
+}
+
+// PutVarint into a buffer pre-sized by VarintSize; returns the end of the written bytes.
+uint8_t* WriteVarint(uint8_t* p, uint64_t value) {
+  while (value >= 0x80) {
+    *p++ = static_cast<uint8_t>(value) | 0x80;
+    value >>= 7;
+  }
+  *p++ = static_cast<uint8_t>(value);
+  return p;
+}
+
+// Hands every varint of one RTT record's ext payload to `put`, in wire order, straight from
+// the sketch's non-zero bins.
+template <typename Put>
+void ForEachRttPayloadVarint(const WireRttDelta& record, Put&& put) {
+  put(static_cast<uint64_t>(record.slot));
+  put(record.epoch);
+  put(static_cast<uint64_t>(record.target));
+  put(static_cast<uint64_t>(record.sketch.num_bins()));
+  uint64_t n_nonzero = 0;
+  record.sketch.ForEachNonZero([&](int, int64_t) { ++n_nonzero; });
+  put(n_nonzero);
+  int prev_bin = 0;
+  record.sketch.ForEachNonZero([&](int bin, int64_t count) {
+    put(static_cast<uint64_t>(bin - prev_bin));  // gap to the previous non-zero bin
+    put(static_cast<uint64_t>(count));
+    prev_bin = bin;
+  });
+}
+
+// Hands every varint of the frame's payload (everything between the tag and the CRC) to
+// `put`, in wire order. Encode runs it once to size the frame and once to write it.
+template <typename Put>
+void ForEachPayloadVarint(const ReportFrame& frame, Put&& put) {
+  put(static_cast<uint64_t>(frame.pinger));
+  put(frame.window_id);
+  put(frame.seq);
+  put(frame.paths.size());
+  put(frame.intra.size());
   PathId prev_slot = 0;
   for (const WirePathDelta& record : frame.paths) {
-    PutVarint(out, ZigzagEncode(static_cast<int64_t>(record.slot) - prev_slot));
+    put(ZigzagEncode(static_cast<int64_t>(record.slot) - prev_slot));
     prev_slot = record.slot;
-    PutVarint(out, record.epoch);
-    PutVarint(out, static_cast<uint64_t>(record.target));
-    PutVarint(out, static_cast<uint64_t>(record.sent));
-    PutVarint(out, static_cast<uint64_t>(record.lost));
+    put(record.epoch);
+    put(static_cast<uint64_t>(record.target));
+    put(static_cast<uint64_t>(record.sent));
+    put(static_cast<uint64_t>(record.lost));
   }
   for (const WireIntraDelta& record : frame.intra) {
-    PutVarint(out, static_cast<uint64_t>(record.target));
-    PutVarint(out, static_cast<uint64_t>(record.sent));
-    PutVarint(out, static_cast<uint64_t>(record.lost));
+    put(static_cast<uint64_t>(record.target));
+    put(static_cast<uint64_t>(record.sent));
+    put(static_cast<uint64_t>(record.lost));
   }
   // Extension section — omitted entirely when empty so loss-only frames stay byte-identical
   // to the pre-extension layout (and to what older emitters produce).
-  if (!frame.rtt.empty()) {
-    PutVarint(out, frame.rtt.size());
-    std::vector<uint8_t> payload;
-    for (const WireRttDelta& record : frame.rtt) {
-      payload.clear();
-      PutVarint(payload, static_cast<uint64_t>(record.slot));
-      PutVarint(payload, record.epoch);
-      PutVarint(payload, static_cast<uint64_t>(record.target));
-      PutVarint(payload, static_cast<uint64_t>(record.sketch.num_bins()));
-      const std::span<const int64_t> counts = record.sketch.counts();
-      uint64_t n_nonzero = 0;
-      for (const int64_t count : counts) n_nonzero += count != 0;
-      PutVarint(payload, n_nonzero);
-      int prev_bin = 0;
-      for (int bin = 0; bin < record.sketch.num_bins(); ++bin) {
-        if (counts[static_cast<size_t>(bin)] == 0) continue;
-        PutVarint(payload, static_cast<uint64_t>(bin - prev_bin));
-        PutVarint(payload, static_cast<uint64_t>(counts[static_cast<size_t>(bin)]));
-        prev_bin = bin;
-      }
-      PutVarint(out, kExtTypeRttSketch);
-      PutVarint(out, payload.size());
-      out.insert(out.end(), payload.begin(), payload.end());
-    }
+  if (frame.rtt.empty()) {
+    return;
   }
-  const uint64_t tag =
-      SipHash24(key.k0, key.k1, std::span<const uint8_t>(out).subspan(kHeaderPos));
+  put(frame.rtt.size());
+  for (const WireRttDelta& record : frame.rtt) {
+    size_t length = 0;
+    ForEachRttPayloadVarint(record, [&](uint64_t value) { length += VarintSize(value); });
+    put(ReportCodec::kExtTypeRttSketch);
+    put(length);
+    ForEachRttPayloadVarint(record, put);
+  }
+}
+
+}  // namespace
+
+void ReportCodec::Encode(const ReportFrame& frame, std::vector<uint8_t>& out,
+                         const ReportKey& key) {
+  // Size the frame, then write every varint straight into the pre-sized buffer.
+  size_t body_size = kHeaderPos;
+  ForEachPayloadVarint(frame, [&](uint64_t value) { body_size += VarintSize(value); });
+  out.resize(body_size + 4);
+  out[0] = kMagic0;
+  out[1] = kMagic1;
+  out[2] = kVersion;
+  uint8_t* p = out.data() + kHeaderPos;
+  ForEachPayloadVarint(frame, [&](uint64_t value) { p = WriteVarint(p, value); });
+  DCHECK(p == out.data() + body_size);
+
+  const uint64_t tag = SipHash24(
+      key.k0, key.k1, std::span<const uint8_t>(out.data() + kHeaderPos, body_size - kHeaderPos));
   for (size_t b = 0; b < 8; ++b) {
     out[kTagOffset + b] = static_cast<uint8_t>(tag >> (8 * b));
   }
-  const uint32_t crc = Crc32(out);
-  out.push_back(static_cast<uint8_t>(crc));
-  out.push_back(static_cast<uint8_t>(crc >> 8));
-  out.push_back(static_cast<uint8_t>(crc >> 16));
-  out.push_back(static_cast<uint8_t>(crc >> 24));
+  const uint32_t crc = Crc32(std::span<const uint8_t>(out.data(), body_size));
+  for (size_t b = 0; b < 4; ++b) {
+    out[body_size + b] = static_cast<uint8_t>(crc >> (8 * b));
+  }
 }
 
 namespace {
@@ -243,6 +279,8 @@ DecodeStatus ReportCodec::Decode(std::span<const uint8_t> bytes, ReportFrame& ou
     if (n_ext * 2 > body_size - pos) {
       return DecodeStatus::kTruncated;
     }
+    // An RTT record costs >= 7 bytes (type, length, five payload varints): bounds the reserve.
+    frame.rtt.reserve(std::min<uint64_t>(n_ext, (body_size - pos) / 7));
     for (uint64_t i = 0; i < n_ext; ++i) {
       uint64_t type = 0;
       uint64_t length = 0;

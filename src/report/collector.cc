@@ -239,6 +239,12 @@ void Collector::FoldFrame(IngestShard& shard, const ReportFrame& frame, uint64_t
       ++shard.stats.unknown_slot_dropped;
       continue;
     }
+    if (record.sketch.num_bins() != options_.rtt_bins) {
+      // An agent configured with another --rtt-bins: its sketch cannot merge with this
+      // deployment's. Skip the record; the frame's loss records folded above.
+      ++shard.stats.rtt_bins_mismatch_dropped;
+      continue;
+    }
     store_shard->RecordPathRttAtEpoch(record.slot, record.epoch, record.target, record.sketch);
     ++shard.stats.observations_folded;
   }
@@ -291,6 +297,7 @@ CollectorStats Collector::stats() const {
     total.stale_window_dropped += s.stale_window_dropped;
     total.queue_overflow_dropped += s.queue_overflow_dropped;
     total.unknown_slot_dropped += s.unknown_slot_dropped;
+    total.rtt_bins_mismatch_dropped += s.rtt_bins_mismatch_dropped;
     total.unknown_records += s.unknown_records;
     total.wrong_partition_dropped += s.wrong_partition_dropped;
     total.frames_straddled += s.frames_straddled;

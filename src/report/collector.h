@@ -54,6 +54,10 @@ struct CollectorOptions {
   // boundary) after which a known pinger counts as stale. 0 disables the stale flagging;
   // last-seen tracking itself always runs.
   uint64_t liveness_horizon = 0;
+  // Bin count of the deployment's RTT sketches (DetectorSystemOptions::rtt_bins, --rtt-bins).
+  // RTT records of any other bin count cannot merge into the running totals; they are
+  // dropped and counted, whatever order agents' frames arrive in.
+  int rtt_bins = RttSketch::kDefaultBins;
 };
 
 struct CollectorStats {
@@ -65,6 +69,7 @@ struct CollectorStats {
   uint64_t stale_window_dropped = 0;    // frame.window_id older than the current window
   uint64_t queue_overflow_dropped = 0;  // bounded shard queue was full at Offer time
   uint64_t unknown_slot_dropped = 0;    // records beyond the store's slot table (skipped)
+  uint64_t rtt_bins_mismatch_dropped = 0;  // RTT records whose bin count != options.rtt_bins
   uint64_t unknown_records = 0;         // ext records of a type this build doesn't know (skipped)
   uint64_t wrong_partition_dropped = 0; // frame's pinger is owned by another collector
   uint64_t window_advances = 0;         // pending-window flips applied

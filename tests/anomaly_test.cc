@@ -18,7 +18,9 @@
 #include "src/anomaly/anomaly_engine.h"
 #include "src/anomaly/ewma_baseline.h"
 #include "src/anomaly/rtt_sketch.h"
+#include "src/common/crc32.h"
 #include "src/common/rng.h"
+#include "src/common/siphash.h"
 #include "src/detector/observation_store.h"
 #include "src/detector/system.h"
 #include "src/history/query.h"
@@ -26,6 +28,7 @@
 #include "src/history/window_sink.h"
 #include "src/pmc/probe_matrix.h"
 #include "src/report/codec.h"
+#include "src/report/collector.h"
 #include "src/routing/fattree_routing.h"
 #include "src/sim/anomaly_scenarios.h"
 #include "src/sim/watchdog.h"
@@ -76,8 +79,8 @@ TEST(RttSketch, ClampsAtBothEnds) {
   sketch.Record(-1);
   sketch.Record(INT64_MAX);
   sketch.Record(INT64_MAX / 2);
-  EXPECT_EQ(sketch.counts()[0], 1);
-  EXPECT_EQ(sketch.counts()[static_cast<size_t>(bins - 1)], 2);
+  EXPECT_EQ(sketch.count(0), 1);
+  EXPECT_EQ(sketch.count(bins - 1), 2);
   EXPECT_EQ(sketch.total(), 3);
   EXPECT_EQ(sketch.Quantile(1.0), RttSketch::BinLowerUs(bins - 1));
 }
@@ -162,6 +165,172 @@ TEST(RttSketch, QuantileBracketsTheSortedOracle) {
     EXPECT_LE(sketch.Quantile(q), oracle) << "q=" << q;
     EXPECT_LT(oracle, RttSketch::BinUpperUs(bin, sketch.num_bins())) << "q=" << q;
   }
+}
+
+// ---- RttSketch: representation property test ----------------------------------------------
+
+// Independent reference model of the sketch algebra: one plain dense count vector (empty =
+// the empty sketch), element-wise signed merges, and the return-to-empty rule.
+struct ReferenceSketch {
+  std::vector<int64_t> counts;
+  int64_t total = 0;
+
+  void AddCount(int bin, int64_t count) {
+    counts[static_cast<size_t>(bin)] += count;
+    total += count;
+  }
+  void Merge(const ReferenceSketch& other, int64_t sign) {
+    if (other.counts.empty()) return;
+    if (counts.empty()) counts.assign(other.counts.size(), 0);
+    for (size_t i = 0; i < counts.size(); ++i) counts[i] += sign * other.counts[i];
+    total += sign * other.total;
+    if (total == 0 && std::all_of(counts.begin(), counts.end(), [](int64_t c) { return c == 0; })) {
+      counts.clear();
+    }
+  }
+  int64_t Quantile(double q) const {
+    if (total <= 0) return 0;
+    int64_t rank = static_cast<int64_t>(q * static_cast<double>(total));
+    if (static_cast<double>(rank) < q * static_cast<double>(total)) ++rank;
+    rank = std::clamp<int64_t>(rank, 1, total);
+    int64_t cumulative = 0;
+    for (size_t bin = 0; bin < counts.size(); ++bin) {
+      cumulative += counts[bin];
+      if (cumulative >= rank) return RttSketch::BinLowerUs(static_cast<int>(bin));
+    }
+    return RttSketch::BinLowerUs(static_cast<int>(counts.size()) - 1);
+  }
+  bool operator==(const ReferenceSketch&) const = default;
+};
+
+void ExpectMatchesReference(const RttSketch& sketch, const ReferenceSketch& ref,
+                            const std::string& when) {
+  ASSERT_EQ(sketch.empty(), ref.counts.empty()) << when;
+  ASSERT_EQ(sketch.num_bins(), static_cast<int>(ref.counts.size())) << when;
+  ASSERT_EQ(sketch.total(), ref.total) << when;
+  for (int bin = 0; bin < sketch.num_bins(); ++bin) {
+    ASSERT_EQ(sketch.count(bin), ref.counts[static_cast<size_t>(bin)]) << when << " bin " << bin;
+  }
+  int prev_bin = -1;
+  int visited = 0;
+  sketch.ForEachNonZero([&](int bin, int64_t count) {
+    EXPECT_GT(bin, prev_bin) << when;
+    EXPECT_NE(count, 0) << when;
+    EXPECT_EQ(count, ref.counts[static_cast<size_t>(bin)]) << when;
+    prev_bin = bin;
+    ++visited;
+  });
+  EXPECT_EQ(visited, std::count_if(ref.counts.begin(), ref.counts.end(),
+                                   [](int64_t c) { return c != 0; }))
+      << when;
+  for (const double q : {0.0, 0.1, 0.5, 0.9, 0.99, 1.0}) {
+    ASSERT_EQ(sketch.Quantile(q), ref.Quantile(q)) << when << " q=" << q;
+  }
+}
+
+TEST(RttSketch, InlineAndDenseFormsMatchAPlainVectorModel) {
+  constexpr int kBins = 40;
+  constexpr size_t kSketches = 6;
+  Rng rng(2024);
+  std::vector<RttSketch> sketches(kSketches);
+  std::vector<ReferenceSketch> refs(kSketches);
+  // How often each direction of the inline/dense threshold was crossed by a merge.
+  int inline_into_dense = 0;
+  int dense_into_inline = 0;
+  int spilled_by_merge = 0;
+  int retracted_to_empty = 0;
+  for (int step = 0; step < 20000; ++step) {
+    const size_t i = rng.NextBounded(kSketches);
+    const size_t j = rng.NextBounded(kSketches);
+    // Narrow or wide bin ranges, so sketches hover around the inline capacity.
+    const int spread = rng.NextBounded(4) == 0 ? kBins : 10;
+    const std::string when = "step " + std::to_string(step);
+    switch (rng.NextBounded(6)) {
+      case 0:  // fresh allocated-zero sketch
+        sketches[i] = RttSketch(kBins);
+        refs[i] = ReferenceSketch{std::vector<int64_t>(kBins, 0), 0};
+        break;
+      case 1: {  // record samples
+        if (sketches[i].empty()) break;
+        const int samples = 1 + static_cast<int>(rng.NextBounded(4));
+        for (int n = 0; n < samples; ++n) {
+          const int bin = static_cast<int>(rng.NextBounded(static_cast<uint64_t>(spread)));
+          sketches[i].Record(RttSketch::BinLowerUs(bin));
+          refs[i].AddCount(bin, 1);
+        }
+        break;
+      }
+      case 2: {  // raw signed counts, which can cancel a bin back to zero
+        if (sketches[i].empty()) break;
+        const int bin = static_cast<int>(rng.NextBounded(static_cast<uint64_t>(spread)));
+        const int64_t count = static_cast<int64_t>(rng.NextBounded(5)) - 2;
+        sketches[i].AddCount(bin, count);
+        refs[i].AddCount(bin, count);
+        break;
+      }
+      default: {  // merge j into i, either sign
+        if (i == j) break;
+        const int64_t sign = rng.NextBounded(3) == 0 ? -1 : 1;
+        const bool was_dense = sketches[i].dense();
+        const bool was_inline = !sketches[i].empty() && !was_dense;
+        inline_into_dense += was_dense && !sketches[j].empty() && !sketches[j].dense();
+        dense_into_inline += was_inline && sketches[j].dense();
+        const bool was_empty = sketches[i].empty();
+        sketches[i].Merge(sketches[j], sign);
+        refs[i].Merge(refs[j], sign);
+        spilled_by_merge += was_inline && sketches[i].dense();
+        retracted_to_empty += !was_empty && sketches[i].empty();
+        break;
+      }
+    }
+    ExpectMatchesReference(sketches[i], refs[i], when);
+    ASSERT_EQ(sketches[i] == sketches[j], refs[i] == refs[j]) << when;
+    ASSERT_EQ(sketches[j] == sketches[i], refs[j] == refs[i]) << when;
+    if (sketches[i].empty() || sketches[j].empty() ||
+        sketches[i].num_bins() == sketches[j].num_bins()) {
+      // The anomaly engine's in-place boundary delta against the materialized difference.
+      ReferenceSketch delta = refs[i];
+      delta.Merge(refs[j], -1);
+      for (const double q : {0.5, 0.99}) {
+        ASSERT_EQ(RttSketch::DeltaQuantile(sketches[i], sketches[j], q), delta.Quantile(q))
+            << when << " q=" << q;
+      }
+    }
+    if (rng.NextBounded(50) == 0) {
+      // Full retraction of a copy returns to the empty state from either form.
+      RttSketch copy = sketches[i];
+      copy.Merge(sketches[i], -1);
+      EXPECT_TRUE(copy.empty()) << when;
+      EXPECT_EQ(copy, RttSketch{}) << when;
+    }
+  }
+  EXPECT_GT(inline_into_dense, 0);
+  EXPECT_GT(dense_into_inline, 0);
+  EXPECT_GT(spilled_by_merge, 0);
+  EXPECT_GT(retracted_to_empty, 0);
+}
+
+TEST(RttSketch, PerRecordSketchesStayInline) {
+  // A probe record holds at most 2 x rtt_samples_per_path samples: never more non-zero bins
+  // than the inline capacity, so recording one never touches the heap.
+  RttSketch sketch(RttSketch::kDefaultBins);
+  for (int bin = 0; bin < RttSketch::kInlineBins; ++bin) {
+    sketch.Record(RttSketch::BinLowerUs(10 + 3 * bin));
+  }
+  EXPECT_FALSE(sketch.dense());
+  RttSketch spilled = sketch;
+  spilled.Record(RttSketch::BinLowerUs(2));
+  EXPECT_TRUE(spilled.dense());
+  EXPECT_EQ(spilled.count(2), 1);
+  // Merging into an empty accumulator keeps the inline form; the spill is equal per bin.
+  RttSketch running;
+  running.Merge(sketch);
+  EXPECT_FALSE(running.dense());
+  EXPECT_EQ(running, sketch);
+  running.Merge(spilled, -1);
+  running.Merge(spilled);
+  EXPECT_TRUE(running.dense());
+  EXPECT_EQ(running, sketch);
 }
 
 // ---- Codec: RTT extension records ---------------------------------------------------------
@@ -254,6 +423,218 @@ TEST(AnomalyCodec, OldDecoderSkipsAndCountsUnknownRecords) {
   EXPECT_EQ(decoded.intra, frame.intra);
   EXPECT_TRUE(decoded.rtt.empty());
   EXPECT_EQ(decoded.unknown_records, frame.rtt.size());
+}
+
+// ---- Codec: golden wire bytes and hostile RTT payloads ------------------------------------
+
+// One frame exercising every RTT record shape: loss and intra records, a sketch inside the
+// inline capacity, one past it (dense), a kMaxBins sketch, and counts summing to INT64_MAX.
+ReportFrame GoldenWireFrame() {
+  ReportFrame frame;
+  frame.pinger = 1234;
+  frame.window_id = 99;
+  frame.seq = 17;
+  frame.paths.push_back(WirePathDelta{3, 1, 500, 240, 2});
+  frame.paths.push_back(WirePathDelta{41000, 7, 77, 60, 0});
+  frame.paths.push_back(WirePathDelta{12, 0, 501, 1000000, 999999});
+  frame.intra.push_back(WireIntraDelta{1235, 30, 1});
+  frame.intra.push_back(WireIntraDelta{1236, 0, 0});
+  RttSketch inline_sketch(RttSketch::kDefaultBins);
+  for (const int64_t v : {90, 95, 130, 250, 250, 1000}) {
+    inline_sketch.Record(v);
+  }
+  frame.rtt.push_back(WireRttDelta{3, 1, 500, inline_sketch});
+  RttSketch dense(RttSketch::kDefaultBins);
+  for (int i = 0; i < 40; ++i) {
+    dense.Record((int64_t{64} << (i / 4)) | (i % 4) << 3);
+  }
+  frame.rtt.push_back(WireRttDelta{41000, 7, 77, dense});
+  RttSketch widest(RttSketch::kMaxBins);
+  widest.AddCount(0, 1);
+  widest.AddCount(2048, 5);
+  widest.AddCount(RttSketch::kMaxBins - 1, 3);
+  frame.rtt.push_back(WireRttDelta{12, 0, 501, widest});
+  RttSketch huge(RttSketch::kDefaultBins);
+  huge.AddCount(7, INT64_MAX - 1000);
+  huge.AddCount(9, 1000);
+  frame.rtt.push_back(WireRttDelta{12, 0, 501, huge});
+  return frame;
+}
+
+// GoldenWireFrame() as the codec encoded it while every sketch was a dense count vector
+// (default key). The wire format does not depend on the in-memory sketch representation.
+constexpr const char* kGoldenWireHex =
+    "d75202524fb6757e46ad55d209631103020601f403f00102ca8005074d3c00b7"
+    "800500f503c0843dbf843dd3091e01d409000004010e0301f403500415020301"
+    "03020801011da8c002074d500b14020102030404040404040404040404040404"
+    "040404010f0c00f5038020030001801005ff0f0301130c00f50350020797f8ff"
+    "ffffffffff7f02e8078b2353bc";
+
+std::vector<uint8_t> FromHex(const std::string& hex) {
+  std::vector<uint8_t> bytes;
+  for (size_t i = 0; i + 1 < hex.size(); i += 2) {
+    bytes.push_back(static_cast<uint8_t>(std::stoi(hex.substr(i, 2), nullptr, 16)));
+  }
+  return bytes;
+}
+
+TEST(AnomalyCodec, GoldenWireBytesAreStable) {
+  const ReportFrame frame = GoldenWireFrame();
+  ASSERT_FALSE(frame.rtt[0].sketch.dense());
+  ASSERT_TRUE(frame.rtt[1].sketch.dense());
+  std::vector<uint8_t> wire;
+  ReportCodec::Encode(frame, wire);
+  EXPECT_EQ(wire, FromHex(kGoldenWireHex));
+  // Encoding into a reused, larger buffer yields the same bytes.
+  std::vector<uint8_t> reused(4096, 0xAB);
+  ReportCodec::Encode(frame, reused);
+  EXPECT_EQ(reused, wire);
+
+  ReportFrame decoded;
+  ASSERT_EQ(ReportCodec::Decode(FromHex(kGoldenWireHex), decoded), DecodeStatus::kOk);
+  EXPECT_EQ(decoded, frame);
+  EXPECT_FALSE(decoded.rtt[0].sketch.dense());  // decoded straight into the inline form
+  EXPECT_EQ(decoded.rtt[3].sketch.total(), INT64_MAX);
+  EXPECT_EQ(decoded.rtt[3].sketch.count(7), INT64_MAX - 1000);
+  std::vector<uint8_t> reencoded;
+  ReportCodec::Encode(decoded, reencoded);
+  EXPECT_EQ(reencoded, wire);
+}
+
+// A CRC-clean, correctly tagged frame carrying one RTT ext record with an arbitrary payload —
+// the shape a buggy or hostile emitter holding the key can produce.
+std::vector<uint8_t> FrameWithRttPayload(const std::vector<uint8_t>& payload) {
+  std::vector<uint8_t> out(ReportCodec::kHeaderPos, 0);  // the tag slot is filled below
+  out[0] = ReportCodec::kMagic0;
+  out[1] = ReportCodec::kMagic1;
+  out[2] = ReportCodec::kVersion;
+  for (const uint64_t header : {9, 4, 1, 0, 0, 1}) {  // pinger window seq n_paths n_intra n_ext
+    PutVarint(out, header);
+  }
+  PutVarint(out, ReportCodec::kExtTypeRttSketch);
+  PutVarint(out, payload.size());
+  out.insert(out.end(), payload.begin(), payload.end());
+  const ReportKey key;
+  const uint64_t tag = SipHash24(
+      key.k0, key.k1, std::span<const uint8_t>(out).subspan(ReportCodec::kHeaderPos));
+  for (size_t b = 0; b < 8; ++b) {
+    out[ReportCodec::kTagOffset + b] = static_cast<uint8_t>(tag >> (8 * b));
+  }
+  const uint32_t crc = Crc32(out);
+  for (size_t b = 0; b < 4; ++b) {
+    out.push_back(static_cast<uint8_t>(crc >> (8 * b)));
+  }
+  return out;
+}
+
+// RTT payload for slot 6, epoch 2, target 8 with raw (gap, count) pairs.
+std::vector<uint8_t> RttPayload(uint64_t num_bins, uint64_t n_nonzero,
+                                const std::vector<std::pair<uint64_t, uint64_t>>& pairs) {
+  std::vector<uint8_t> payload;
+  for (const uint64_t field : {uint64_t{6}, uint64_t{2}, uint64_t{8}, num_bins, n_nonzero}) {
+    PutVarint(payload, field);
+  }
+  for (const auto& [gap, count] : pairs) {
+    PutVarint(payload, gap);
+    PutVarint(payload, count);
+  }
+  return payload;
+}
+
+DecodeStatus DecodeRttPayload(const std::vector<uint8_t>& payload, RttSketch& sketch) {
+  ReportFrame frame;
+  const DecodeStatus status = ReportCodec::Decode(FrameWithRttPayload(payload), frame);
+  if (status == DecodeStatus::kOk) {
+    EXPECT_EQ(frame.rtt.size(), 1u);
+    sketch = frame.rtt.at(0).sketch;
+  }
+  return status;
+}
+
+void ExpectCounts(const RttSketch& sketch, int num_bins, int64_t total,
+                  const std::vector<std::pair<int, int64_t>>& nonzero, const std::string& when) {
+  EXPECT_FALSE(sketch.empty()) << when;
+  EXPECT_EQ(sketch.num_bins(), num_bins) << when;
+  EXPECT_EQ(sketch.total(), total) << when;
+  std::vector<std::pair<int, int64_t>> seen;
+  sketch.ForEachNonZero([&](int bin, int64_t count) { seen.emplace_back(bin, count); });
+  EXPECT_EQ(seen, nonzero) << when;
+}
+
+// Non-canonical payloads the dense-vector decoder accepted decode to the same sketch, and the
+// ones it rejected keep their status (expectations recorded from that decoder).
+TEST(AnomalyCodec, HostileRttPayloadsDecodeAsBefore) {
+  RttSketch sketch;
+  // Gap-0 duplicates of a bin are summed.
+  ASSERT_EQ(DecodeRttPayload(RttPayload(80, 4, {{5, 2}, {0, 3}, {0, 1}, {10, 7}}), sketch),
+            DecodeStatus::kOk);
+  ExpectCounts(sketch, 80, 13, {{5, 6}, {15, 7}}, "gap-0 duplicates");
+  EXPECT_EQ(sketch.Quantile(0.5), 28);
+
+  // Ten distinct bins behind twelve entries: the duplicates sum, the sketch spills dense.
+  ASSERT_EQ(DecodeRttPayload(RttPayload(16, 12, {{0, 1}, {1, 2}, {1, 3}, {1, 4}, {0, 5},
+                                                 {1, 6}, {1, 7}, {1, 8}, {1, 9}, {1, 10},
+                                                 {1, 11}, {0, 12}}),
+                             sketch),
+            DecodeStatus::kOk);
+  ExpectCounts(sketch, 16, 78,
+               {{0, 1}, {1, 2}, {2, 3}, {3, 9}, {4, 6}, {5, 7}, {6, 8}, {7, 9}, {8, 10}, {9, 23}},
+               "duplicates across the inline capacity");
+  EXPECT_TRUE(sketch.dense());
+  EXPECT_EQ(sketch.Quantile(0.5), 7);
+  EXPECT_EQ(sketch.Quantile(0.99), 10);
+
+  // n_nonzero == num_bins == kMaxBins: every bin set once...
+  std::vector<std::pair<uint64_t, uint64_t>> every_bin;
+  for (int bin = 0; bin < RttSketch::kMaxBins; ++bin) {
+    every_bin.emplace_back(bin == 0 ? 0 : 1, 1);
+  }
+  ASSERT_EQ(DecodeRttPayload(RttPayload(4096, 4096, every_bin), sketch), DecodeStatus::kOk);
+  EXPECT_EQ(sketch.total(), 4096);
+  for (int bin = 0; bin < RttSketch::kMaxBins; ++bin) {
+    ASSERT_EQ(sketch.count(bin), 1) << "bin " << bin;
+  }
+  // ...or all 4096 entries piled onto bin 0 by gap-0 duplicates.
+  const std::vector<std::pair<uint64_t, uint64_t>> one_bin(4096, {0, 2});
+  ASSERT_EQ(DecodeRttPayload(RttPayload(4096, 4096, one_bin), sketch), DecodeStatus::kOk);
+  ExpectCounts(sketch, 4096, 8192, {{0, 8192}}, "4096 duplicates of bin 0");
+  EXPECT_FALSE(sketch.dense());
+
+  // No non-zero bins: an allocated-zero sketch, not an empty one.
+  ASSERT_EQ(DecodeRttPayload(RttPayload(80, 0, {}), sketch), DecodeStatus::kOk);
+  ExpectCounts(sketch, 80, 0, {}, "n_nonzero 0");
+  EXPECT_FALSE(sketch == RttSketch{});
+
+  // A count of INT64_MAX stays int64.
+  ASSERT_EQ(DecodeRttPayload(RttPayload(80, 1, {{79, static_cast<uint64_t>(INT64_MAX)}}), sketch),
+            DecodeStatus::kOk);
+  ExpectCounts(sketch, 80, INT64_MAX, {{79, INT64_MAX}}, "INT64_MAX count");
+
+  // Rejections keep their status.
+  std::vector<std::pair<uint64_t, uint64_t>> past_every_bin = every_bin;
+  past_every_bin.emplace_back(1, 1);
+  const struct {
+    const char* name;
+    std::vector<uint8_t> payload;
+    DecodeStatus status;
+  } rejected[] = {
+      {"n_nonzero > num_bins", RttPayload(4096, 4097, past_every_bin), DecodeStatus::kMalformed},
+      {"num_bins below kSubBins", RttPayload(3, 1, {{0, 1}}), DecodeStatus::kMalformed},
+      {"num_bins above kMaxBins", RttPayload(4097, 1, {{0, 1}}), DecodeStatus::kMalformed},
+      {"zero count", RttPayload(80, 1, {{5, 0}}), DecodeStatus::kMalformed},
+      {"gap past the last bin", RttPayload(80, 2, {{70, 1}, {10, 1}}), DecodeStatus::kMalformed},
+      {"first gap == num_bins", RttPayload(80, 1, {{80, 1}}), DecodeStatus::kMalformed},
+      {"count above INT64_MAX",
+       RttPayload(80, 1, {{1, static_cast<uint64_t>(INT64_MAX) + 1}}), DecodeStatus::kTruncated},
+      {"fewer pairs than n_nonzero", RttPayload(80, 5, {{1, 1}, {1, 1}, {1, 1}, {1, 1}}),
+       DecodeStatus::kTruncated},
+  };
+  for (const auto& c : rejected) {
+    EXPECT_EQ(DecodeRttPayload(c.payload, sketch), c.status) << c.name;
+  }
+  std::vector<uint8_t> trailing = RttPayload(80, 1, {{1, 1}});
+  trailing.push_back(0);
+  EXPECT_EQ(DecodeRttPayload(trailing, sketch), DecodeStatus::kMalformed) << "trailing byte";
 }
 
 // ---- EwmaBaseline -------------------------------------------------------------------------
@@ -476,6 +857,61 @@ TEST(ObservationStoreRtt, RunningSketchesMatchSnapshotUnderFlipsAndInvalidation)
   const std::vector<RttSketch> merged = SnapshotVector(store, 4, watchdog);
   EXPECT_TRUE(merged[0].empty() || merged[0].total() == 0);  // stale record orphaned
   EXPECT_EQ(merged[1].total(), s1.total() + late.total());   // current record folded
+}
+
+// Two agents disagreeing on --rtt-bins: the collector folds both frames' loss records, drops
+// and counts the RTT record whose bin count is not the configured one, and the running totals
+// stay computable — whichever frame arrives first.
+TEST(AnomalyCollector, RttRecordsOfAnotherBinCountAreDroppedAndCounted) {
+  Topology topo("rtt-bins");
+  for (int i = 0; i < 3; ++i) {
+    topo.AddNode(NodeKind::kServer, 0, i, "s" + std::to_string(i));
+  }
+  const Watchdog watchdog(topo);
+  auto frame_at_bins = [](NodeId pinger, int bins) {
+    ReportFrame frame;
+    frame.pinger = pinger;
+    frame.window_id = 1;
+    frame.paths.push_back(WirePathDelta{2, 0, 2, 10, 1});
+    RttSketch sketch(bins);
+    sketch.Record(100);
+    sketch.Record(300);
+    frame.rtt.push_back(WireRttDelta{2, 0, 2, sketch});
+    std::vector<uint8_t> wire;
+    ReportCodec::Encode(frame, wire);
+    return wire;
+  };
+  for (const int configured : {80, 100}) {
+    for (const bool mismatched_first : {false, true}) {
+      const std::string when = "configured " + std::to_string(configured) +
+                               (mismatched_first ? ", mismatched first" : ", matching first");
+      ObservationStore store;
+      store.EnsureSlots(4);
+      CollectorOptions options;
+      options.rtt_bins = configured;
+      Collector collector(store, options);
+      collector.BeginWindow(1);
+      const int other = configured == 80 ? 100 : 80;
+      std::vector<std::vector<uint8_t>> frames = {frame_at_bins(0, configured),
+                                                  frame_at_bins(1, other)};
+      if (mismatched_first) std::swap(frames[0], frames[1]);
+      for (std::vector<uint8_t>& frame : frames) {
+        ASSERT_TRUE(collector.Offer(std::move(frame))) << when;
+      }
+      collector.Drain();
+      const ObservationView totals = store.RunningTotals(4, watchdog);
+      const CollectorStats stats = collector.stats();
+      EXPECT_EQ(stats.frames_folded, 2u) << when;
+      EXPECT_EQ(stats.rtt_bins_mismatch_dropped, 1u) << when;
+      EXPECT_EQ(stats.observations_folded, 3u) << when;
+      EXPECT_EQ(totals[2].sent, 20) << when;  // both frames' loss records folded
+      EXPECT_EQ(totals[2].lost, 2) << when;
+      const std::span<const RttSketch> rtt = store.RttRunningTotals();
+      ASSERT_GT(rtt.size(), 2u) << when;
+      EXPECT_EQ(rtt[2].num_bins(), configured) << when;
+      EXPECT_EQ(rtt[2].total(), 2) << when;
+    }
+  }
 }
 
 // ---- Sealed windows, the log record, and the forensic queries -----------------------------
