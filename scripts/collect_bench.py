@@ -11,11 +11,30 @@ record of the perf trajectory:
 Exit status is 1 when any input is missing/malformed or any *enforced* gate failed
 (gates skipped on small hosts are recorded with "enforced": false and do not fail
 the collection).
+
+The summary also records the host the numbers came from: "nproc" (the CPUs this
+process may run on) and "load_average" (1, 5 and 15 minute averages read when the
+collection runs), so a skipped core-count gate or a noisy timing can be read in
+context.
 """
 
 import argparse
 import json
+import os
 import sys
+
+
+def host_facts():
+    """CPU count available to this process and the current load average."""
+    try:
+        nproc = len(os.sched_getaffinity(0))
+    except (AttributeError, OSError):
+        nproc = os.cpu_count() or 1
+    try:
+        load = [round(value, 2) for value in os.getloadavg()]
+    except (AttributeError, OSError):
+        load = None
+    return {"nproc": nproc, "load_average": load}
 
 
 def main() -> int:
@@ -53,6 +72,7 @@ def main() -> int:
             "total_gates": total_gates,
             "failed_gates": failed,
             "skipped_gates": skipped,
+            **host_facts(),
         },
     }
     with open(args.out, "w", encoding="utf-8") as f:

@@ -2,8 +2,8 @@
 
 #include <algorithm>
 #include <atomic>
+#include <deque>
 #include <map>
-#include <optional>
 #include <thread>
 #include <unordered_set>
 
@@ -11,6 +11,45 @@
 #include "src/report/emitter.h"
 
 namespace detector {
+
+namespace {
+
+// Send-only in-memory Transport a probe task's ReportEmitter seals frames into: frames append
+// to one contiguous buffer, and ForwardTo later replays them, in send order, on the real
+// transport. Lets encoding run on the probe workers while sending stays serial.
+class FrameBuffer final : public Transport {
+ public:
+  bool Send(std::span<const uint8_t> frame) override {
+    bytes_.insert(bytes_.end(), frame.begin(), frame.end());
+    ends_.push_back(bytes_.size());
+    return true;
+  }
+  // Never delivers: the buffered frames leave through ForwardTo.
+  bool Receive(std::vector<uint8_t>& /*out*/) override { return false; }
+  TransportStats stats() const override {
+    TransportStats stats;
+    stats.frames_sent = ends_.size();
+    stats.bytes_sent = bytes_.size();
+    return stats;
+  }
+
+  // Sends every buffered frame on `transport`, in order, and releases the buffer.
+  void ForwardTo(Transport& transport) {
+    size_t begin = 0;
+    for (const size_t end : ends_) {
+      transport.Send(std::span<const uint8_t>(bytes_).subspan(begin, end - begin));
+      begin = end;
+    }
+    bytes_ = {};
+    ends_ = {};
+  }
+
+ private:
+  std::vector<uint8_t> bytes_;
+  std::vector<size_t> ends_;  // end offset of each frame in bytes_
+};
+
+}  // namespace
 
 DetectorSystem::DetectorSystem(const PathProvider& provider, DetectorSystemOptions options)
     : topo_(provider.topology()),
@@ -377,118 +416,151 @@ void DetectorSystem::RunSegment(const FailureScenario& scenario, double seconds,
   // stream, or (probe_subshards > 0) up to probe_subshards entry ranges on per-entry streams,
   // so a giant list spreads across workers. The caller's rng advances once (the window seed)
   // however many tasks or threads run, so the counters are bit-identical at any thread count.
+  // Store shards open here, serially in pinglist order in both modes, so shard — and
+  // intra-rack record — order never depends on scheduling.
   ObservationStore& store = diagnoser_.store();
   store.EnsureSlots(matrix_.NumPaths());
   const uint64_t window_seed = rng();
   const size_t splits = static_cast<size_t>(std::max(0, options_.probe_subshards));
-  struct Task {
+  const bool report = options_.report_plane;
+  struct ListRun {
     const Pinglist* list;
+    ObservationStore::Shard* shard;
+    size_t first_task;
+    size_t end_task;
+    FrameBuffer frames;     // report mode: the list's sealed frames, in emission order
+    uint64_t next_seq = 0;  // report mode: the pinger's frame seq after this segment
+  };
+  struct Task {
+    ListRun* run;
     size_t begin;
     size_t end;
-    std::vector<PathReport> reports;
+    std::vector<PathReport> reports;  // sub-sharded ranges only
     PingerTraffic traffic;
   };
+  std::deque<ListRun> runs;  // stable addresses: tasks point into it
   std::vector<Task> tasks;
   for (const Pinglist& list : pinglists_) {
     const size_t n = list.entries.size();
     const size_t pieces = std::min(splits == 0 ? 1 : splits, n);
+    if (pieces == 0) {
+      continue;
+    }
+    ListRun& run = runs.emplace_back(
+        ListRun{&list, &store.OpenShard(list.pinger), tasks.size(), tasks.size() + pieces, {}, 0});
     for (size_t p = 0; p < pieces; ++p) {
-      tasks.push_back(Task{&list, n * p / pieces, n * (p + 1) / pieces, {}, {}});
+      tasks.push_back(Task{&run, n * p / pieces, n * (p + 1) / pieces, {}, {}});
     }
   }
 
-  // A task only reads shared state (pinglists, engine, the watchdog — which mutates only at
-  // serial points) and writes its own report buffer, so any scheduling order yields the same
-  // buffers. Given a sink (the serial path), a whole-list task streams into it instead.
-  auto run_task = [&](size_t i, ReportSink* sink) {
-    Task& task = tasks[i];
-    const Pinger pinger(*task.list, options_.confirm_packets);
+  // Hands `feed` the list's ReportSink: its store shard in direct mode, else an emitter that
+  // seals frames into the list's own buffer, continuing the pinger's per-window seq. Safe on
+  // any thread: each list has one feeder at a time, and the shared state it reads (epochs,
+  // report_seq_) mutates only at serial points.
+  auto with_sink = [&](ListRun& run, auto&& feed) {
+    StoreShardSink direct(*run.shard);
+    if (!report) {
+      feed(static_cast<ReportSink&>(direct));
+      return;
+    }
+    const auto seq = report_seq_.find(run.list->pinger);
+    ReportEmitter emitter(run.list->pinger, report_window_id_,
+                          seq == report_seq_.end() ? 0 : seq->second, store.slot_epochs(),
+                          run.frames, options_.report_batch_entries, options_.report_key);
+    feed(static_cast<ReportSink&>(emitter));
+    emitter.Flush();
+    run.next_seq = emitter.next_seq();
+  };
+  // A task reads only shared state that mutates at serial points (pinglists, engine, the
+  // watchdog) and writes only its own list: a whole-list task streams straight into the
+  // list's sink, a sub-sharded range fills its report buffer for the fold below.
+  auto run_task = [&](Task& task) {
+    const Pinger pinger(*task.run->list, options_.confirm_packets);
     if (splits > 0) {
       task.reports.reserve(task.end - task.begin);
       task.traffic = pinger.RunEntryRange(engine, seconds, window_seed, task.begin, task.end,
                                           task.reports, &watchdog_);
       return;
     }
-    Rng rng = ProbeEngine::ShardRng(window_seed, static_cast<uint64_t>(task.list->pinger));
-    if (sink != nullptr) {
-      task.traffic = pinger.RunWindowTo(engine, seconds, rng, *sink, &watchdog_);
-      return;
-    }
-    PingerWindowResult probed = pinger.RunWindow(engine, seconds, rng, &watchdog_);
-    task.reports = std::move(probed.reports);
-    task.traffic = PingerTraffic{probed.probes_sent, probed.bytes_sent};
-  };
-  // Serial fold of one pinglist's tasks (from task t) in entry order through one ReportSink:
-  // its store shard in direct mode, else an emitter routed to the pinger's collector
-  // partition; returns the next list's first task. With `probe`, each task runs here first
-  // (the serial path), so no report outlives its list. Shards open here in pinglist order in
-  // both modes, so shard — and intra-rack record — order matches. Serial emission keeps the
-  // transports' send order independent of scheduling: a lossy, reordering wire delivers the
-  // same frames at any thread count.
-  const bool report = options_.report_plane;
-  auto fold_list = [&](size_t t, bool probe) {
-    const Pinglist* list = tasks[t].list;
-    StoreShardSink direct(store.OpenShard(list->pinger));
-    std::optional<ReportEmitter> emitter;
-    if (report) {
-      emitter.emplace(list->pinger, report_window_id_, report_seq_[list->pinger],
-                      store.slot_epochs(),
-                      *report_transports_[static_cast<size_t>(
-                          collector_group_->RouteOf(list->pinger))],
-                      options_.report_batch_entries, options_.report_key);
-    }
-    ReportSink& sink = emitter.has_value() ? static_cast<ReportSink&>(*emitter) : direct;
-    for (; t < tasks.size() && tasks[t].list == list; ++t) {
-      if (probe) {
-        run_task(t, &sink);
-      }
-      result.probes_sent += tasks[t].traffic.probes_sent;
-      result.bytes_sent += tasks[t].traffic.bytes_sent;
-      std::vector<PathReport> reports = std::move(tasks[t].reports);  // freed once folded
-      for (PathReport& r : reports) {
-        sink.OnEntry(r.path_id, r.target, r.sent, r.lost, r.rtt.total() > 0 ? &r.rtt : nullptr);
-      }
-    }
-    if (emitter.has_value()) {
-      emitter->Flush();
-      report_seq_[list->pinger] = emitter->next_seq();
-    }
-    return t;
+    Rng shard_rng =
+        ProbeEngine::ShardRng(window_seed, static_cast<uint64_t>(task.run->list->pinger));
+    with_sink(*task.run, [&](ReportSink& sink) {
+      task.traffic = pinger.RunWindowTo(engine, seconds, shard_rng, sink, &watchdog_);
+    });
   };
 
-  // The pool is sized by the configured thread count alone — task-count fluctuations across
-  // segments (churn emptying a pinglist) must not tear workers down and restart them.
-  const size_t configured = options_.probe_threads != 0
-                                ? options_.probe_threads
-                                : std::max<size_t>(1, std::thread::hardware_concurrency());
-  const bool serial = configured <= 1 || tasks.size() <= 1;
-  if (!serial) {
-    if (pool_ == nullptr || pool_->num_threads() != configured) {
-      pool_ = std::make_unique<ThreadPool>(configured);
-    }
+  ThreadPool* pool = tasks.size() > 1 ? ProbePool() : nullptr;
+  if (pool != nullptr) {
     std::atomic<size_t> next{0};
-    const size_t workers = std::min(configured, tasks.size());
+    const size_t workers = std::min(pool->num_threads(), tasks.size());
     for (size_t w = 0; w < workers; ++w) {
-      pool_->Submit([&] {
+      pool->Submit([&] {
         for (size_t i = next.fetch_add(1); i < tasks.size(); i = next.fetch_add(1)) {
-          run_task(i, nullptr);
+          run_task(tasks[i]);
         }
       });
     }
-    pool_->WaitAll();
+    pool->WaitAll();
   }
-  for (size_t t = 0; t < tasks.size();) {
-    t = fold_list(t, /*probe=*/serial);
+  // Serial fold in pinglist order (at one thread each list probes here first, so no buffer
+  // outlives its list): sub-sharded ranges replay through the list's sink in entry order,
+  // then the list's frames go out on its collector partition's transport. Sending here, not
+  // from the tasks, keeps every transport's send sequence independent of scheduling — a
+  // lossy, reordering or impaired wire sees the same frames in the same order at any thread
+  // count.
+  for (ListRun& run : runs) {
+    for (size_t t = run.first_task; t < run.end_task; ++t) {
+      if (pool == nullptr) {
+        run_task(tasks[t]);
+      }
+      result.probes_sent += tasks[t].traffic.probes_sent;
+      result.bytes_sent += tasks[t].traffic.bytes_sent;
+    }
+    if (splits > 0) {
+      with_sink(run, [&](ReportSink& sink) {
+        for (size_t t = run.first_task; t < run.end_task; ++t) {
+          std::vector<PathReport> reports = std::move(tasks[t].reports);  // freed once folded
+          for (PathReport& r : reports) {
+            sink.OnEntry(r.path_id, r.target, r.sent, r.lost,
+                         r.rtt.total() > 0 ? &r.rtt : nullptr);
+          }
+        }
+      });
+    }
+    if (report) {
+      const NodeId pinger = run.list->pinger;
+      run.frames.ForwardTo(
+          *report_transports_[static_cast<size_t>(collector_group_->RouteOf(pinger))]);
+      report_seq_[pinger] = run.next_seq;
+    }
   }
   if (report) {
     PumpReportBoundary(/*window_end=*/false);
   }
 }
 
+ThreadPool* DetectorSystem::ProbePool() {
+  // Sized by the configured thread count alone — task-count fluctuations across segments
+  // (churn emptying a pinglist) must not tear workers down and restart them.
+  const size_t configured = options_.probe_threads != 0
+                                ? options_.probe_threads
+                                : std::max<size_t>(1, std::thread::hardware_concurrency());
+  if (configured <= 1) {
+    return nullptr;
+  }
+  if (pool_ == nullptr || pool_->num_threads() != configured) {
+    pool_ = std::make_unique<ThreadPool>(configured);
+  }
+  return pool_.get();
+}
+
 void DetectorSystem::PumpReportBoundary(bool window_end) {
   const bool barrier = !options_.report_pipeline || window_end;
   const auto depth = static_cast<uint64_t>(options_.report_pipeline_depth);
-  for (size_t c = 0; c < collector_group_->num_collectors(); ++c) {
+  // One collector's boundary step. Collectors own disjoint pingers, so their folds write
+  // disjoint store shards (first-seen shard opens serialize on the group's mutex) and the
+  // steps run concurrently on the probe pool.
+  auto pump = [&](size_t c) {
     Collector& col = collector_group_->collector(c);
     if (barrier) {
       // Ingest barrier: everything sent and not dropped folds before the segment closes,
@@ -497,7 +569,7 @@ void DetectorSystem::PumpReportBoundary(bool window_end) {
       // defers folds, but never past the window.
       report_transports_[c]->Flush();
       col.PumpFrom(*report_transports_[c]);
-      continue;
+      return;
     }
     // Pipelined: fold what the budget allows and let the rest straddle the boundary — epoch
     // stamps make the late folds land exactly where on-time folds would have. The staleness
@@ -507,7 +579,19 @@ void DetectorSystem::PumpReportBoundary(bool window_end) {
     if (col.boundary() >= depth) {
       col.DrainStale(col.boundary() - depth + 1);
     }
+  };
+  const size_t n = collector_group_->num_collectors();
+  ThreadPool* pool = n > 1 ? ProbePool() : nullptr;
+  if (pool == nullptr) {
+    for (size_t c = 0; c < n; ++c) {
+      pump(c);
+    }
+    return;
   }
+  for (size_t c = 0; c < n; ++c) {
+    pool->Submit([&pump, c] { pump(c); });
+  }
+  pool->WaitAll();
 }
 
 DetectorSystem::WindowResult DetectorSystem::RunWindow(const FailureScenario& scenario,

@@ -3,11 +3,12 @@
 // and loss localization (diagnoser/PLL), organized in 30 s windows within 10-minute cycles.
 //
 // Window execution is sharded: each non-empty pinglist becomes one probe task (or, with
-// probe_subshards, several entry-range tasks) run on a thread pool (probe_threads) into its
-// own report buffer, on RNG streams keyed by (window seed, pinger id[, entry]); a serial fold
-// hands the buffers in pinglist order to the ObservationStore — directly, or as wire frames
-// the report plane folds at the segment-end barrier. Results are bit-identical at any thread
-// count.
+// probe_subshards, several entry-range tasks) run on a thread pool (probe_threads), on RNG
+// streams keyed by (window seed, pinger id[, entry]). A whole-list task writes its own store
+// shard, or in report mode encodes its wire frames into a per-list buffer; a serial fold in
+// pinglist order replays the entry-range buffers and sends each list's frames, which the
+// collectors — one pool task each — fold at the segment-end barrier. Results, and every
+// transport's send sequence, are bit-identical at any thread count.
 //
 // Topology churn runs through ApplyTopologyDelta(): overlay update -> incremental probe-matrix
 // repair (IncrementalPmc) -> minimal per-pinger pinglist diffs — the milliseconds-scale
@@ -377,15 +378,19 @@ class DetectorSystem {
   // trajectory as before episodes existed.
   void RunSpan(const FailureScenario& scenario, double t0, double t1, Rng& rng,
                WindowResult& result);
-  // One probe slice: per-pinger (or per-entry-range) tasks probe into report buffers on the
-  // pool, then a serial fold in (pinglist, entry) order writes each list through its
-  // ReportSink — the store shard, or a report emitter — and the report plane pumps. At one
-  // thread a whole-list task streams into the sink directly, with no buffer.
+  // One probe slice: per-pinger tasks stream on the pool into their list's ReportSink — the
+  // store shard, or a report emitter encoding frames into a per-list buffer — while
+  // per-entry-range tasks (probe_subshards) buffer reports. A serial fold in pinglist order
+  // then replays the buffered ranges, sends each list's frames on its collector partition's
+  // transport, and the report plane pumps.
   void RunSegment(const FailureScenario& scenario, double seconds, Rng& rng,
                   WindowResult& result);
   // End-of-segment report-plane fold: the barriered flush-and-drain, or the pipelined
-  // budgeted pump + staleness enforcement; at the window end always the full drain.
+  // budgeted pump + staleness enforcement; at the window end always the full drain. With a
+  // probe pool, each collector runs its step as one pool task.
   void PumpReportBoundary(bool window_end);
+  // The probe pool sized to probe_threads (created or resized on demand); null at one thread.
+  ThreadPool* ProbePool();
   // One diagnosis boundary: reads the running totals once and feeds, in order, the anomaly
   // engine, the history cut, the server-link alarms and the localization (the consuming
   // window-end Diagnose when `window_end`, else the options_.streaming_view diagnosis).

@@ -52,6 +52,7 @@ CollectorStats CollectorGroup::stats() const {
     total.queue_overflow_dropped += s.queue_overflow_dropped;
     total.unknown_slot_dropped += s.unknown_slot_dropped;
     total.rtt_bins_mismatch_dropped += s.rtt_bins_mismatch_dropped;
+    total.unknown_records += s.unknown_records;
     total.wrong_partition_dropped += s.wrong_partition_dropped;
     total.window_advances += s.window_advances;
     total.frames_straddled += s.frames_straddled;

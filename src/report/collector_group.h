@@ -4,6 +4,8 @@
 // partitioned counters merge by simply living in one store, no cross-collector barrier. The
 // group fans window/boundary control out to every instance and rolls their stats up into one
 // view; a frame that lands on the wrong instance is rejected-and-counted there, never folded.
+// Distinct instances may pump and drain on concurrent threads: they fold disjoint store
+// shards, and their first-seen OpenShard calls serialize on the group's store-open mutex.
 #ifndef SRC_REPORT_COLLECTOR_GROUP_H_
 #define SRC_REPORT_COLLECTOR_GROUP_H_
 

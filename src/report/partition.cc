@@ -1,6 +1,7 @@
 #include "src/report/partition.h"
 
 #include <algorithm>
+#include <utility>
 
 namespace detector {
 
@@ -9,17 +10,16 @@ PartitionMap PartitionMap::Build(std::vector<NodeId> pingers, size_t num_partiti
   out.num_partitions_ = std::max<size_t>(1, num_partitions);
   std::sort(pingers.begin(), pingers.end());
   pingers.erase(std::unique(pingers.begin(), pingers.end()), pingers.end());
-  int next = 0;
-  for (const NodeId pinger : pingers) {
-    out.map_.emplace(pinger, next);
-    next = (next + 1) % static_cast<int>(out.num_partitions_);
-  }
+  out.pingers_ = std::move(pingers);
   return out;
 }
 
 int PartitionMap::PartitionOf(NodeId pinger) const {
-  const auto it = map_.find(pinger);
-  return it == map_.end() ? -1 : it->second;
+  const auto it = std::lower_bound(pingers_.begin(), pingers_.end(), pinger);
+  if (it == pingers_.end() || *it != pinger) {
+    return -1;
+  }
+  return static_cast<int>(static_cast<size_t>(it - pingers_.begin()) % num_partitions_);
 }
 
 int PartitionMap::RouteOf(NodeId pinger) const {

@@ -4,17 +4,18 @@
 // misrouted frame can never double-fold into the store.
 //
 // The map is a pure function of (sorted pinger set, N): pingers are sorted, deduplicated, and
-// dealt round-robin. Any two processes that agree on the pinger set — e.g. a monitor_daemon
-// agent and N monitor_daemon collectors built from the same topology — derive the identical
-// map with no coordination, and repartitioning after topology churn (pingers added or
-// removed) is deterministic by construction. A pinger born mid-window that is not yet in the
-// map routes by a hash fallback, identically on the agent and collector side.
+// dealt round-robin, so a pinger's partition is its rank in the sorted set modulo N and the
+// map is stored as just that sorted set (a binary search per lookup). Any two processes that
+// agree on the pinger set — e.g. a monitor_daemon agent and N monitor_daemon collectors built
+// from the same topology — derive the identical map with no coordination, and repartitioning
+// after topology churn (pingers added or removed) is deterministic by construction. A pinger
+// born mid-window that is not yet in the map routes by a hash fallback, identically on the
+// agent and collector side.
 #ifndef SRC_REPORT_PARTITION_H_
 #define SRC_REPORT_PARTITION_H_
 
 #include <cstddef>
 #include <cstdint>
-#include <map>
 #include <vector>
 
 #include "src/topo/topology.h"
@@ -38,7 +39,7 @@ class PartitionMap {
   static PartitionMap Build(std::vector<NodeId> pingers, size_t num_partitions);
 
   size_t num_partitions() const { return num_partitions_; }
-  size_t num_pingers() const { return map_.size(); }
+  size_t num_pingers() const { return pingers_.size(); }
 
   // The partition owning `pinger`, or -1 when the pinger is not in the map.
   int PartitionOf(NodeId pinger) const;
@@ -51,7 +52,7 @@ class PartitionMap {
 
  private:
   size_t num_partitions_ = 1;
-  std::map<NodeId, int> map_;
+  std::vector<NodeId> pingers_;  // sorted, deduplicated; pingers_[i] is owned by i % N
 };
 
 }  // namespace detector

@@ -1,8 +1,9 @@
 // Collector-fabric tests (PR 6): the PartitionMap ownership function (exactly-one owner,
 // deterministic rebuild after churn, hash fallback for unmapped pingers), wrong-partition
-// rejection across a CollectorGroup, sharded ingest equivalence (K shards fold the same
-// totals as one), overflow accounting under concurrent bounded Offer/Drain (8 producers:
-// folded + dropped == offered, exactly), the pipelined staleness enforcer, and the
+// rejection across a CollectorGroup, the group's roll-up of unknown extension records,
+// sharded ingest equivalence (K shards fold the same totals as one), overflow accounting
+// under concurrent bounded Offer/Drain (8 producers: folded + dropped == offered, exactly),
+// the pipelined staleness enforcer, and the
 // system-level gates — multi-collector barriered windows bit-identical to direct mode, and
 // pipelined windows meeting the bounded-staleness contract under injected drop/reorder while
 // still converging to the direct-mode result on a lossless wire.
@@ -10,10 +11,13 @@
 
 #include <atomic>
 #include <memory>
+#include <span>
 #include <string>
 #include <thread>
 #include <vector>
 
+#include "src/common/crc32.h"
+#include "src/common/siphash.h"
 #include "src/detector/system.h"
 #include "src/net/loopback.h"
 #include "src/report/codec.h"
@@ -149,6 +153,48 @@ TEST(CollectorFabric, WrongPartitionFramesRejectedAndCounted) {
   group.collector(static_cast<size_t>(owner)).Drain();
   EXPECT_EQ(group.stats().wrong_partition_dropped, 2u);
   EXPECT_EQ(group.stats().frames_folded, 2u);
+}
+
+// A frame from a newer emitter carries an extension record of a type this build does not
+// know: its loss records fold, the unknown record is skipped and counted — and the count
+// must survive the roll-up from instance to group.
+TEST(CollectorFabric, GroupStatsCountUnknownExtensionRecords) {
+  ObservationStore store;
+  store.EnsureSlots(4);
+  CollectorGroupOptions options;
+  options.num_collectors = 2;
+  CollectorGroup group(store, PartitionMap::Build({1, 2}, 2), options);
+  group.BeginWindow(1);
+  ASSERT_EQ(group.RouteOf(2), 1);
+
+  // A loss-only frame re-sealed with one ext record of type 9 (2 opaque payload bytes): the
+  // tag covers the new payload and the CRC the whole frame, so only the type is unknown.
+  std::vector<uint8_t> wire = EncodedFrame(2, 1, 0, 0, 100, 10);
+  wire.resize(wire.size() - 4);
+  const std::vector<uint64_t> ext = {1, 9, 2, 0x2B, 0x07};  // n_ext, type, length, payload
+  for (const uint64_t v : ext) {
+    PutVarint(wire, v);
+  }
+  const ReportKey key;
+  const uint64_t tag =
+      SipHash24(key.k0, key.k1,
+                std::span<const uint8_t>(wire).subspan(ReportCodec::kHeaderPos));
+  for (size_t b = 0; b < 8; ++b) {
+    wire[ReportCodec::kTagOffset + b] = static_cast<uint8_t>(tag >> (8 * b));
+  }
+  const uint32_t crc = Crc32(wire);
+  for (size_t b = 0; b < 4; ++b) {
+    wire.push_back(static_cast<uint8_t>(crc >> (8 * b)));
+  }
+
+  ASSERT_TRUE(group.collector(1).Offer(wire));
+  EXPECT_EQ(group.collector(1).Drain(), 1u);
+  EXPECT_EQ(group.collector(1).stats().unknown_records, 1u);
+  const CollectorStats rolled = group.stats();
+  EXPECT_EQ(rolled.frames_folded, 1u);
+  EXPECT_EQ(rolled.observations_folded, 1u);
+  EXPECT_EQ(rolled.decode_errors, 0u);
+  EXPECT_EQ(rolled.unknown_records, 1u);
 }
 
 TEST(Collector, ShardedIngestFoldsIdenticalTotals) {

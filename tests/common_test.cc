@@ -4,9 +4,13 @@
 #include <atomic>
 #include <cmath>
 #include <set>
+#include <span>
+#include <string>
 #include <thread>
+#include <vector>
 
 #include "src/common/bitset.h"
+#include "src/common/crc32.h"
 #include "src/common/flags.h"
 #include "src/common/rng.h"
 #include "src/common/stats.h"
@@ -96,6 +100,46 @@ TEST(Rng, ShufflePermutes) {
 TEST(Hash, SplitMix64IsStable) {
   EXPECT_EQ(SplitMix64(0), SplitMix64(0));
   EXPECT_NE(SplitMix64(1), SplitMix64(2));
+}
+
+// The one-table, byte-at-a-time CRC-32 the slice-by-8 implementation must reproduce.
+uint32_t Crc32Bytewise(std::span<const uint8_t> bytes, uint32_t seed = 0) {
+  uint32_t c = seed ^ 0xFFFFFFFFu;
+  for (const uint8_t byte : bytes) {
+    c = internal::kCrc32Tables[0][(c ^ byte) & 0xFF] ^ (c >> 8);
+  }
+  return c ^ 0xFFFFFFFFu;
+}
+
+TEST(Crc32, StandardCheckVector) {
+  const std::string check = "123456789";
+  const std::span<const uint8_t> bytes(reinterpret_cast<const uint8_t*>(check.data()),
+                                       check.size());
+  EXPECT_EQ(Crc32(bytes), 0xCBF43926u);
+  EXPECT_EQ(Crc32Bytewise(bytes), 0xCBF43926u);
+  EXPECT_EQ(Crc32({}), 0u);
+}
+
+TEST(Crc32, SliceBy8MatchesBytewiseAtEveryLengthAndOffset) {
+  // Lengths 0..70 cover the empty input, tails of every size, and several 8-byte steps; the
+  // start offsets 0..7 put the first step at every alignment.
+  Rng rng(31);
+  std::vector<uint8_t> buffer(8 + 70);
+  for (uint8_t& b : buffer) {
+    b = static_cast<uint8_t>(rng.NextBounded(256));
+  }
+  for (size_t offset = 0; offset < 8; ++offset) {
+    for (size_t len = 0; len <= 70; ++len) {
+      const std::span<const uint8_t> bytes(buffer.data() + offset, len);
+      EXPECT_EQ(Crc32(bytes), Crc32Bytewise(bytes)) << "offset " << offset << " len " << len;
+      // A non-zero seed chains a running checksum over split input.
+      EXPECT_EQ(Crc32(bytes, 0xDEADBEEFu), Crc32Bytewise(bytes, 0xDEADBEEFu))
+          << "seeded, offset " << offset << " len " << len;
+      const size_t half = len / 2;
+      EXPECT_EQ(Crc32(bytes.subspan(half), Crc32(bytes.subspan(0, half))), Crc32(bytes))
+          << "chained, offset " << offset << " len " << len;
+    }
+  }
 }
 
 TEST(Stats, OnlineMeanVariance) {

@@ -2,11 +2,14 @@
 // frames must decode to an error, never crash or partially fold), collector tolerance
 // (duplicate and out-of-order delivery keep totals bit-identical; stale windows and queue
 // overflow drop cleanly), transport fault injection, the report-vs-direct bit-exactness gate
-// at 1, 2 and 8 probe threads, and real UDP over localhost (skipped with a notice when the
-// sandbox forbids sockets).
+// at 1, 2 and 8 probe threads, the per-collector send sequence at 1, 2 and 8 probe threads,
+// and real UDP over localhost (skipped with a notice when the sandbox forbids sockets).
 #include <gtest/gtest.h>
 
 #include <cstdio>
+#include <memory>
+#include <span>
+#include <string>
 #include <vector>
 
 #include "src/common/crc32.h"
@@ -446,6 +449,79 @@ TEST(ReportPlane, BitIdenticalToDirectModeAt1_2_8Threads) {
         EXPECT_EQ(direct[w].timeline[i].server_link_alarms,
                   report[w].timeline[i].server_link_alarms)
             << when << " boundary " << i;
+      }
+    }
+  }
+}
+
+// Records every frame sent through it, in send order, and delivers through a lossless
+// loopback. Send is only ever called from the system's serial fold.
+class RecordingTransport final : public Transport {
+ public:
+  bool Send(std::span<const uint8_t> frame) override {
+    sent_.emplace_back(frame.begin(), frame.end());
+    return inner_.Send(frame);
+  }
+  bool Receive(std::vector<uint8_t>& out) override { return inner_.Receive(out); }
+  TransportStats stats() const override { return inner_.stats(); }
+  const std::vector<std::vector<uint8_t>>& sent() const { return sent_; }
+
+ private:
+  LoopbackTransport inner_;
+  std::vector<std::vector<uint8_t>> sent_;
+};
+
+// The send-sequence contract: frames are encoded on the probe workers but sent serially in
+// pinglist order, so every collector's transport sees byte-identical frames in the identical
+// order at 1, 2 and 8 probe threads — with the anomaly plane's RTT records, mid-window churn,
+// and sub-sharded lists. (With 2 collectors the boundary pumps also run concurrently.)
+TEST(ReportPlane, SendSequenceIdenticalAt1_2_8Threads) {
+  const FatTree ft(4);
+  const FatTreeRouting routing(ft);
+  FailureScenario scenario;
+  LinkFailure f;
+  f.link = ft.EdgeAggLink(0, 1, 0);
+  f.type = FailureType::kRandomPartial;
+  f.loss_rate = 0.08;
+  scenario.failures.push_back(f);
+  const std::vector<ChurnEvent> churn = MidWindowChurn(ft);
+  constexpr size_t kCollectors = 2;
+
+  for (const int subshards : {0, 2}) {
+    auto run = [&](size_t threads) {
+      DetectorSystemOptions options = ReportTestOptions(150);
+      options.probe_threads = threads;
+      options.probe_subshards = subshards;
+      options.report_plane = true;
+      options.report_collectors = kCollectors;
+      options.anomaly = true;
+      DetectorSystem system(routing, options);
+      system.SetReportTransportFactory(
+          [](size_t) { return std::make_unique<RecordingTransport>(); });
+      Rng rng(99);
+      system.RunWindowStreaming(scenario, churn, rng);
+      system.RunWindowStreaming(scenario, {}, rng);
+      EXPECT_EQ(system.collector_group()->stats().decode_errors, 0u);
+      std::vector<std::vector<std::vector<uint8_t>>> sent;
+      for (size_t c = 0; c < kCollectors; ++c) {
+        sent.push_back(static_cast<RecordingTransport*>(system.report_transport(c))->sent());
+      }
+      return sent;
+    };
+    const auto serial = run(1);
+    for (size_t c = 0; c < kCollectors; ++c) {
+      ASSERT_FALSE(serial[c].empty()) << "collector " << c << " received nothing";
+    }
+    for (const size_t threads : {size_t{2}, size_t{8}}) {
+      const auto parallel = run(threads);
+      for (size_t c = 0; c < kCollectors; ++c) {
+        const std::string when = "subshards=" + std::to_string(subshards) +
+                                 " threads=" + std::to_string(threads) +
+                                 " collector=" + std::to_string(c);
+        ASSERT_EQ(parallel[c].size(), serial[c].size()) << when;
+        for (size_t i = 0; i < serial[c].size(); ++i) {
+          ASSERT_EQ(parallel[c][i], serial[c][i]) << when << " frame " << i;
+        }
       }
     }
   }
