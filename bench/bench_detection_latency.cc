@@ -377,7 +377,8 @@ int main(int argc, char** argv) {
   bool incremental_matches_full = true;
   OnlineStats full_reference_ms;  // incremental mode: the full-PLL cost on the same seeds
   for (const int cadence : cadences) {
-    system.set_diagnose_every_segments(cadence);
+    options.diagnose_every_segments = cadence;
+    system.Reconfigure(options);
     std::vector<double> latencies;
     int detected = 0;
     OnlineStats pll_ms;
@@ -392,11 +393,13 @@ int main(int argc, char** argv) {
       if (mode == "incremental") {
         // The oracle run: same seeds, full PLL at every boundary — every timeline entry must
         // match the incremental run bit for bit.
-        system.set_incremental_diagnosis(false);
+        options.incremental_diagnosis = false;
+        system.Reconfigure(options);
         Rng full_rng(seed + 100 + static_cast<uint64_t>(t));
         const auto full_streamed =
             system.RunWindowStreaming(scenarios[static_cast<size_t>(t)], {}, full_rng);
-        system.set_incremental_diagnosis(true);
+        options.incremental_diagnosis = true;
+        system.Reconfigure(options);
         if (full_streamed.timeline.size() != streamed.timeline.size()) {
           incremental_matches_full = false;
         } else {

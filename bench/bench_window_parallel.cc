@@ -312,7 +312,8 @@ int main(int argc, char** argv) {
   double speedup_at_8 = 0.0;
   bool all_identical = true;
   for (const size_t threads : thread_counts) {
-    system.set_probe_threads(threads);
+    options.probe_threads = threads;
+    system.Reconfigure(options);
     Rng rng(seed + 7);  // same stream every thread count
     std::vector<WindowFingerprint> prints;
     WallTimer timer;
@@ -349,14 +350,16 @@ int main(int argc, char** argv) {
   // keying. A different deterministic trajectory than the legacy per-pinger streams, so the
   // exactness baseline is sub-shards=1.
   const size_t sweep_threads = thread_counts.back();
-  system.set_probe_threads(sweep_threads);
+  options.probe_threads = sweep_threads;
+  system.Reconfigure(options);
   std::printf("\nSub-sharded windows at %zu threads (baseline: 1 sub-shard per pinglist):\n",
               sweep_threads);
   TablePrinter sub_table({"sub-shards", "mean window ms", "identical"});
   std::vector<WindowFingerprint> sub_baseline;
   bool sub_identical = true;
   for (const size_t subshards : subshard_counts) {
-    system.set_probe_subshards(static_cast<int>(subshards));
+    options.probe_subshards = static_cast<int>(subshards);
+    system.Reconfigure(options);
     Rng rng(seed + 7);
     std::vector<WindowFingerprint> prints;
     WallTimer timer;
@@ -374,7 +377,8 @@ int main(int argc, char** argv) {
     sub_table.AddRow({TablePrinter::FmtInt(static_cast<int64_t>(subshards)),
                       TablePrinter::Fmt(mean_ms, 2), identical ? "yes" : "NO"});
   }
-  system.set_probe_subshards(0);
+  options.probe_subshards = 0;
+  system.Reconfigure(options);
   sub_table.Print();
   json.Gate("subshard-count-identical", sub_identical ? 1.0 : 0.0, 1.0, true, sub_identical);
 

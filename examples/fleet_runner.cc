@@ -67,15 +67,6 @@ DetectorSystemOptions FleetOptions() {
   return options;
 }
 
-PartitionMap FleetPartition(const DetectorSystem& system, size_t num_partitions) {
-  std::vector<NodeId> pingers;
-  pingers.reserve(system.pinglists().size());
-  for (const Pinglist& list : system.pinglists()) {
-    pingers.push_back(list.pinger);
-  }
-  return PartitionMap::Build(std::move(pingers), num_partitions);
-}
-
 // The failure the fleet must localize: a 50% packet blackhole on an agg-core link.
 FailureScenario FleetScenario(const FatTree& fattree) {
   FailureScenario scenario;
@@ -216,7 +207,7 @@ int RunAgentRole(const Flags& flags) {
   const FatTreeRouting routing(fattree);
   const DetectorSystemOptions options = FleetOptions();
   DetectorSystem system(routing, options);
-  const PartitionMap partition = FleetPartition(system, collectors);
+  const PartitionMap partition = system.BuildReportPartition(collectors);
   // Gray mode probes a clean network for the warmup windows, then the pure-latency failure;
   // both engines sample RTTs so the collector's baselines learn "normal" before the shift.
   ProbeEngine engine(fattree.topology(),
@@ -304,7 +295,7 @@ int RunCollectorRole(const Flags& flags) {
   const FatTreeRouting routing(fattree);
   const DetectorSystemOptions options = FleetOptions();
   DetectorSystem system(routing, options);
-  const PartitionMap partition = FleetPartition(system, collectors);
+  const PartitionMap partition = system.BuildReportPartition(collectors);
   const Topology& topo = fattree.topology();
   Watchdog watchdog(topo);
   Diagnoser diagnoser(options.pll);

@@ -115,18 +115,6 @@ detector::DetectorSystemOptions SplitModeOptions() {
   return options;
 }
 
-// Both halves derive the fabric's ownership map from the same deterministically-built system,
-// so agent-side routing and collector-side rejection agree with no config exchange.
-detector::PartitionMap SplitModePartition(const detector::DetectorSystem& system,
-                                          size_t num_partitions) {
-  std::vector<detector::NodeId> pingers;
-  pingers.reserve(system.pinglists().size());
-  for (const detector::Pinglist& list : system.pinglists()) {
-    pingers.push_back(list.pinger);
-  }
-  return detector::PartitionMap::Build(std::move(pingers), num_partitions);
-}
-
 // The failure the agent's network exhibits and the collector should localize: the demo's gray
 // failure, a 50% packet blackhole on an agg-core link.
 detector::FailureScenario SplitModeScenario(const detector::FatTree& fattree) {
@@ -191,7 +179,7 @@ int RunAgent(const detector::Flags& flags) {
   const FatTreeRouting routing(fattree);
   const DetectorSystemOptions options = SplitModeOptions();
   DetectorSystem system(routing, options);
-  const PartitionMap partition = SplitModePartition(system, collectors);
+  const PartitionMap partition = system.BuildReportPartition(collectors);
   const ProbeEngine engine(fattree.topology(), SplitModeScenario(fattree), options.probe);
   std::unique_ptr<WindowLogWriter> history;
   WindowSealer sealer;
@@ -306,7 +294,7 @@ int RunCollector(const detector::Flags& flags) {
   const DetectorSystemOptions options = SplitModeOptions();
   DetectorSystem system(routing, options);
   const PartitionMap partition =
-      SplitModePartition(system, static_cast<size_t>(partition_count));
+      system.BuildReportPartition(static_cast<size_t>(partition_count));
   const Topology& topo = fattree.topology();
   Watchdog watchdog(topo);
   Diagnoser diagnoser(options.pll);
@@ -371,10 +359,8 @@ int RunCollector(const detector::Flags& flags) {
     }
     std::printf("\n");
   };
-  collector.set_on_window_advance([&](uint64_t closed, uint64_t /*opened*/) {
-    diagnose_window(closed);
-    collector.AdvanceBoundary();  // liveness clock ticks in window units
-  });
+  collector.set_on_window_advance(
+      [&](uint64_t closed, uint64_t /*opened*/) { diagnose_window(closed); });
 
   const auto start = std::chrono::steady_clock::now();
   auto last_activity = start;
@@ -707,8 +693,9 @@ int main(int argc, char** argv) {
     f.rule_seed = 1234;
     gray.failures.push_back(f);
   }
-  system.set_segments_per_window(segments);
-  system.set_diagnose_every_segments(diagnose_every);
+  options.segments_per_window = segments;
+  options.diagnose_every_segments = diagnose_every;
+  system.Reconfigure(options);
   const auto streamed = system.RunWindowStreaming(gray, {}, rng);
   for (const auto& d : streamed.timeline) {
     std::printf("[t=%3ds+%04.1fs] %-27s alarms=%zu", window * 30, d.time_seconds,
@@ -739,8 +726,9 @@ int main(int argc, char** argv) {
   episode.start_seconds = 2.0 * segment_seconds;
   episode.end_seconds = 4.0 * segment_seconds;
   episode_scenario.episodes.push_back(episode);
-  system.set_streaming_view(StreamingViewMode::kSliding);
-  system.set_sliding_window_segments(static_cast<int>(flags.GetInt("sliding-window", 2)));
+  options.streaming_view = StreamingViewMode::kSliding;
+  options.sliding_window_segments = static_cast<int>(flags.GetInt("sliding-window", 2));
+  system.Reconfigure(options);
   const auto sliding = system.RunWindowStreaming(episode_scenario, {}, rng);
   // The timeline's last entry is the window-end cumulative diagnosis; the trailing-view story
   // is in the mid-window entries.
@@ -757,7 +745,8 @@ int main(int argc, char** argv) {
               "named it at %.1f s (clear once it left the trailing window) ---\n",
               episode.start_seconds, episode.end_seconds, episode_first, last_seen);
   PrintWindow(topo, window++, sliding.window, "loss episode (sliding view)");
-  system.set_streaming_view(StreamingViewMode::kCumulative);
+  options.streaming_view = StreamingViewMode::kCumulative;
+  system.Reconfigure(options);
 
   // Phase 2c (anomaly plane only): a true gray failure — every packet delivered, every packet
   // 2.5 ms late. The loss pipeline stays silent; the RTT baselines flag the paths and PLL
@@ -781,8 +770,9 @@ int main(int argc, char** argv) {
     PrintWindow(topo, window++, latency.window, "latency-only gray failure");
   }
 
-  system.set_segments_per_window(1);
-  system.set_diagnose_every_segments(1);
+  options.segments_per_window = 1;
+  options.diagnose_every_segments = 1;
+  system.Reconfigure(options);
   run_phase("blackhole on agg-core", gray);
 
   // Phase 3: a second, concurrent random-loss failure on an edge-agg link.
@@ -801,9 +791,10 @@ int main(int argc, char** argv) {
   // fabric (each owning half the pinger space, each draining 2 pinger-affine ingest shards).
   // Lossless loopback makes these windows bit-identical to direct-mode windows on the same
   // seed (the ctest gate); here it just shows the wire in the single-process demo.
-  system.set_report_plane(true);
-  system.set_report_collectors(2);
-  system.set_report_ingest_shards(2);
+  options.report_plane = true;
+  options.report_collectors = 2;
+  options.report_ingest_shards = 2;
+  system.Reconfigure(options);
   run_phase("blackhole + loss (report plane)", two);
   const CollectorStats report_stats = system.collector_group()->stats();
   std::printf("--- report plane (2 collectors x 2 ingest shards): %llu frames / %llu "
@@ -817,9 +808,10 @@ int main(int argc, char** argv) {
               static_cast<unsigned long long>(report_stats.stale_window_dropped),
               static_cast<unsigned long long>(report_stats.wrong_partition_dropped),
               static_cast<unsigned long long>(report_stats.stale_pingers));
-  system.set_report_plane(false);
-  system.set_report_collectors(1);
-  system.set_report_ingest_shards(1);
+  options.report_plane = false;
+  options.report_collectors = 1;
+  options.report_ingest_shards = 1;
+  system.Reconfigure(options);
 
   // Phase 4: a pinger dies; the watchdog flags it and the next cycle re-plans around it.
   const NodeId dead = system.pinglists().front().pinger;

@@ -38,6 +38,8 @@ struct AnomalyOptions {
   int64_t min_rtt_samples = 4;   // boundary RTT deltas with fewer samples carry no signal
   double rtt_floor_us = 1.0;     // RTT quantiles below this never count as excursions
   PllOptions pll;                // localization over the pseudo-observations
+
+  bool operator==(const AnomalyOptions&) const = default;
 };
 
 // Bitmask of the signals that flagged a path/link.

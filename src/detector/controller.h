@@ -26,6 +26,8 @@ struct ControllerOptions {
   double packets_per_second = 10.0;
   int port_count = 8;
   bool intra_rack_probes = true;
+
+  bool operator==(const ControllerOptions&) const = default;
 };
 
 // One removal in a pinglist diff, keyed by (path, target) — the same key that identifies an

@@ -89,8 +89,10 @@ class StoreShardSink final : public ReportSink {
 
 class Pinger {
  public:
-  explicit Pinger(Pinglist pinglist, int confirm_packets = 2)
-      : pinglist_(std::move(pinglist)), confirm_packets_(confirm_packets) {}
+  // Borrows `pinglist`, which must outlive the Pinger; a temporary cannot bind.
+  explicit Pinger(const Pinglist& pinglist, int confirm_packets = 2)
+      : pinglist_(pinglist), confirm_packets_(confirm_packets) {}
+  Pinger(Pinglist&&, int = 2) = delete;
 
   // Executes one aggregation window: the packet budget (pps x seconds) is spread round-robin
   // over the pinglist entries. With a watchdog, intra-rack entries targeting flagged servers
@@ -131,7 +133,7 @@ class Pinger {
                            size_t end, const Watchdog* watchdog, EntryRng&& entry_rng,
                            Sink&& sink) const;
 
-  Pinglist pinglist_;
+  const Pinglist& pinglist_;
   int confirm_packets_;
 };
 

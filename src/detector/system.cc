@@ -5,8 +5,10 @@
 #include <deque>
 #include <map>
 #include <thread>
+#include <tuple>
 #include <unordered_set>
 
+#include "src/common/check.h"
 #include "src/net/loopback.h"
 #include "src/report/emitter.h"
 
@@ -49,23 +51,36 @@ class FrameBuffer final : public Transport {
   std::vector<size_t> ends_;  // end offset of each frame in bytes_
 };
 
+// Clamps every option to its valid range — the one place this happens: both constructors and
+// Reconfigure take their options through it, so use sites read options_ as they stand.
+DetectorSystemOptions Clamped(DetectorSystemOptions options) {
+  options.probe_subshards = std::max(0, options.probe_subshards);
+  options.pmc_repair_threads = std::max(0, options.pmc_repair_threads);
+  options.segments_per_window = std::max(1, options.segments_per_window);
+  options.diagnose_every_segments = std::max(1, options.diagnose_every_segments);
+  options.sliding_window_segments = std::max(1, options.sliding_window_segments);
+  options.report_collectors = std::max<size_t>(1, options.report_collectors);
+  options.report_ingest_shards = std::max<size_t>(1, options.report_ingest_shards);
+  options.report_pipeline_depth = std::max(1, options.report_pipeline_depth);
+  return options;
+}
+
 }  // namespace
 
 DetectorSystem::DetectorSystem(const PathProvider& provider, DetectorSystemOptions options)
     : topo_(provider.topology()),
-      options_(options),
+      options_(Clamped(std::move(options))),
       incremental_(std::make_unique<IncrementalPmc>(
-          topo_, provider.Enumerate(options.enum_mode), options.pmc)),
+          topo_, provider.Enumerate(options_.enum_mode), options_.pmc)),
       matrix_(incremental_->BuildMatrix()),
       pmc_stats_(incremental_->initial_stats()),
       overlay_(topo_),
       watchdog_(topo_),
-      controller_(topo_, options.controller),
-      diagnoser_(options.pll),
-      latency_model_(options.latency),
-      anomaly_engine_(options.anomaly_options) {
-  ConfigureDiagnoserViews();
-  incremental_->set_repair_threads(std::max(0, options_.pmc_repair_threads));
+      controller_(topo_, options_.controller),
+      diagnoser_(options_.pll),
+      latency_model_(options_.latency),
+      anomaly_engine_(options_.anomaly_options) {
+  ApplyOptions();
   pinglists_ = controller_.BuildPinglists(matrix_, watchdog_);
   path_index_ = PathPingerIndex::Build(pinglists_);
   for (const Pinglist& list : pinglists_) {
@@ -76,15 +91,15 @@ DetectorSystem::DetectorSystem(const PathProvider& provider, DetectorSystemOptio
 DetectorSystem::DetectorSystem(const Topology& topo, ProbeMatrix matrix,
                                DetectorSystemOptions options)
     : topo_(topo),
-      options_(options),
+      options_(Clamped(std::move(options))),
       matrix_(std::move(matrix)),
       overlay_(topo_),
       watchdog_(topo_),
-      controller_(topo_, options.controller),
-      diagnoser_(options.pll),
-      latency_model_(options.latency),
-      anomaly_engine_(options.anomaly_options) {
-  ConfigureDiagnoserViews();
+      controller_(topo_, options_.controller),
+      diagnoser_(options_.pll),
+      latency_model_(options_.latency),
+      anomaly_engine_(options_.anomaly_options) {
+  ApplyOptions();
   pinglists_ = controller_.BuildPinglists(matrix_, watchdog_);
   path_index_ = PathPingerIndex::Build(pinglists_);
   for (const Pinglist& list : pinglists_) {
@@ -92,11 +107,34 @@ DetectorSystem::DetectorSystem(const Topology& topo, ProbeMatrix matrix,
   }
 }
 
-void DetectorSystem::set_pmc_repair_threads(int n) {
-  options_.pmc_repair_threads = std::max(0, n);
-  if (incremental_ != nullptr) {
-    incremental_->set_repair_threads(options_.pmc_repair_threads);
+void DetectorSystem::Reconfigure(DetectorSystemOptions options) {
+  options = Clamped(std::move(options));
+  const DetectorSystemOptions& old = options_;
+  CHECK(options.controller == old.controller && options.pmc == old.pmc &&
+        options.enum_mode == old.enum_mode && options.pll == old.pll &&
+        options.latency == old.latency && options.anomaly_options == old.anomaly_options)
+      << "Reconfigure cannot change constructor-only options (controller, pmc, enum_mode, pll, "
+         "latency, anomaly_options)";
+  if (options.probe_threads != old.probe_threads) {
+    pool_.reset();
   }
+  // The collectors' own options (CollectorOptions) are fixed at their construction.
+  auto collector_inputs = [](const DetectorSystemOptions& o) {
+    return std::tie(o.report_collectors, o.report_ingest_shards, o.report_key,
+                    o.report_liveness_horizon, o.rtt_bins);
+  };
+  if (collector_inputs(options) != collector_inputs(old)) {
+    collector_group_.reset();
+  }
+  auto log_inputs = [](const DetectorSystemOptions& o) {
+    return std::tie(o.history_dir, o.history_segment_records, o.history_max_segments,
+                    o.report_key);
+  };
+  if (log_inputs(options) != log_inputs(old)) {
+    history_log_.reset();
+  }
+  options_ = std::move(options);
+  ApplyOptions();
 }
 
 void DetectorSystem::SetReportTransport(std::unique_ptr<Transport> transport) {
@@ -111,36 +149,30 @@ void DetectorSystem::SetReportTransportFactory(
   report_transports_.clear();
 }
 
-PartitionMap DetectorSystem::BuildReportPartition() const {
+PartitionMap DetectorSystem::BuildReportPartition(size_t num_partitions) const {
   std::vector<NodeId> pingers;
   pingers.reserve(pinglists_.size());
   for (const Pinglist& list : pinglists_) {
     pingers.push_back(list.pinger);
   }
-  return PartitionMap::Build(std::move(pingers), std::max<size_t>(1, options_.report_collectors));
+  return PartitionMap::Build(std::move(pingers), num_partitions);
 }
 
 void DetectorSystem::PrepareReportFabric() {
-  const size_t n = std::max<size_t>(1, options_.report_collectors);
-  CollectorGroupOptions group_options;
-  group_options.num_collectors = n;
-  group_options.collector.ingest_shards = std::max<size_t>(1, options_.report_ingest_shards);
-  group_options.collector.key = options_.report_key;
-  group_options.collector.liveness_horizon = options_.report_liveness_horizon;
-  group_options.collector.rtt_bins = options_.rtt_bins;
-  const bool hardening_changed = applied_report_key_ != options_.report_key ||
-                                 applied_liveness_horizon_ != options_.report_liveness_horizon;
-  applied_report_key_ = options_.report_key;
-  applied_liveness_horizon_ = options_.report_liveness_horizon;
-  if (collector_group_ == nullptr || hardening_changed ||
-      collector_group_->num_collectors() != n ||
-      collector_group_->ingest_shards_per_collector() != group_options.collector.ingest_shards) {
+  const size_t n = options_.report_collectors;
+  if (collector_group_ == nullptr) {
+    CollectorGroupOptions group_options;
+    group_options.num_collectors = n;
+    group_options.collector.ingest_shards = options_.report_ingest_shards;
+    group_options.collector.key = options_.report_key;
+    group_options.collector.liveness_horizon = options_.report_liveness_horizon;
+    group_options.collector.rtt_bins = options_.rtt_bins;
     collector_group_ = std::make_unique<CollectorGroup>(diagnoser_.store(),
-                                                        BuildReportPartition(), group_options);
+                                                        BuildReportPartition(n), group_options);
   } else {
-    // Same shape: just refresh the ownership map — pinger churn across windows repartitions
-    // deterministically (PartitionMap::Build is a pure function of the pinger set).
-    collector_group_->Repartition(BuildReportPartition());
+    // Pinger churn across windows repartitions deterministically (the map is a pure function
+    // of the pinger set).
+    collector_group_->Repartition(BuildReportPartition(n));
   }
   if (report_transports_.size() > n) {
     report_transports_.resize(n);  // shrinking the fabric drops the surplus backends
@@ -153,9 +185,12 @@ void DetectorSystem::PrepareReportFabric() {
   }
 }
 
-void DetectorSystem::ConfigureDiagnoserViews() {
+void DetectorSystem::ApplyOptions() {
+  if (incremental_ != nullptr) {
+    incremental_->set_repair_threads(options_.pmc_repair_threads);
+  }
   diagnoser_.set_sliding_segments(options_.streaming_view == StreamingViewMode::kSliding
-                                      ? std::max(1, options_.sliding_window_segments)
+                                      ? options_.sliding_window_segments
                                       : 0);
   diagnoser_.set_decay_factor(
       options_.streaming_view == StreamingViewMode::kDecay ? options_.decay_factor : 0.0);
@@ -421,7 +456,7 @@ void DetectorSystem::RunSegment(const FailureScenario& scenario, double seconds,
   ObservationStore& store = diagnoser_.store();
   store.EnsureSlots(matrix_.NumPaths());
   const uint64_t window_seed = rng();
-  const size_t splits = static_cast<size_t>(std::max(0, options_.probe_subshards));
+  const size_t splits = static_cast<size_t>(options_.probe_subshards);
   const bool report = options_.report_plane;
   struct ListRun {
     const Pinglist* list;
@@ -548,7 +583,7 @@ ThreadPool* DetectorSystem::ProbePool() {
   if (configured <= 1) {
     return nullptr;
   }
-  if (pool_ == nullptr || pool_->num_threads() != configured) {
+  if (pool_ == nullptr) {
     pool_ = std::make_unique<ThreadPool>(configured);
   }
   return pool_.get();
@@ -610,23 +645,19 @@ DetectorSystem::StreamingWindowResult DetectorSystem::RunWindowStreaming(
 }
 
 bool DetectorSystem::PrepareHistory() {
-  if (options_.history_dir != applied_history_dir_) {
-    applied_history_dir_ = options_.history_dir;
-    history_log_.reset();
-    if (!options_.history_dir.empty()) {
-      WindowLogOptions log_options;
-      log_options.max_records_per_segment = options_.history_segment_records;
-      log_options.max_segments = options_.history_max_segments;
-      log_options.key = options_.report_key;
-      history_log_ = std::make_unique<WindowLogWriter>(options_.history_dir, log_options);
-      // Appending after a reopened log continues its numbering — the on-disk indices stay
-      // monotonic, which the query plane's episode logic relies on.
-      if (history_log_->ok()) {
-        const WindowLogReadResult existing =
-            ReadWindowLog(options_.history_dir, options_.report_key);
-        if (!existing.windows.empty()) {
-          history_window_index_ = existing.windows.back().window_index + 1;
-        }
+  if (history_log_ == nullptr && !options_.history_dir.empty()) {
+    WindowLogOptions log_options;
+    log_options.max_records_per_segment = options_.history_segment_records;
+    log_options.max_segments = options_.history_max_segments;
+    log_options.key = options_.report_key;
+    history_log_ = std::make_unique<WindowLogWriter>(options_.history_dir, log_options);
+    // Appending after a reopened log continues its numbering — the on-disk indices stay
+    // monotonic, which the query plane's episode logic relies on.
+    if (history_log_->ok()) {
+      const WindowLogReadResult existing =
+          ReadWindowLog(options_.history_dir, options_.report_key);
+      if (!existing.windows.empty()) {
+        history_window_index_ = existing.windows.back().window_index + 1;
       }
     }
   }
@@ -691,8 +722,8 @@ DetectorSystem::StreamingWindowResult DetectorSystem::RunWindowImpl(
     bool streaming) {
   StreamingWindowResult out;
   WindowResult& result = out.window;
-  const int segments = std::max(1, options_.segments_per_window);
-  const int cadence = std::max(1, options_.diagnose_every_segments);
+  const int segments = options_.segments_per_window;
+  const int cadence = options_.diagnose_every_segments;
   const double window = options_.window_seconds;
 
   // Retention: when any sink is attached, the window is sealed at its close — each diagnosis

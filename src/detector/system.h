@@ -22,10 +22,15 @@
 // prices how fast a failure is *seen*, not just whether it is. The final-segment result is
 // bit-identical to the batch window on the same seed and slicing (the mid-window reads are
 // non-consuming), which is test-gated.
+//
+// Configuration: DetectorSystemOptions is taken whole, by the constructor or by Reconfigure()
+// between windows, and clamped to its valid ranges as it is taken. Only the constructor reads
+// controller, pmc, enum_mode, pll, latency and anomaly_options (they build owned components).
+// Every other field is read while windows run — at window open, per segment, or per topology
+// delta (pmc_repair_threads) — so a Reconfigure takes effect at the next window open.
 #ifndef SRC_DETECTOR_SYSTEM_H_
 #define SRC_DETECTOR_SYSTEM_H_
 
-#include <algorithm>
 #include <functional>
 #include <map>
 #include <memory>
@@ -272,61 +277,17 @@ class DetectorSystem {
   // Null when constructed from a fixed matrix.
   const IncrementalPmc* incremental() const { return incremental_.get(); }
   const PathPingerIndex& path_index() const { return path_index_; }
-  // Re-sizes the probe-plane shard pool (0 = hardware concurrency). Takes effect at the next
-  // window; does not change results, only wall-clock.
-  void set_probe_threads(size_t n) { options_.probe_threads = n; }
-  // Re-splits pinglists into entry-range sub-shards (see the option comment; takes effect at
-  // the next segment). Any value >= 1 yields identical results; 0 restores the legacy path.
-  void set_probe_subshards(int n) { options_.probe_subshards = std::max(0, n); }
-  // Re-sizes the incremental-repair worker count (no-op in fixed-matrix mode). Deltas stay
-  // bit-identical at any value; only repair wall-clock changes.
-  void set_pmc_repair_threads(int n);
-  // Re-slices window execution / re-paces streaming diagnosis (both clamped to >= 1). Takes
-  // effect at the next window. Changing the slicing changes the RNG trajectory — results are
-  // comparable only between runs with equal segments_per_window.
-  void set_segments_per_window(int n) { options_.segments_per_window = std::max(1, n); }
-  void set_diagnose_every_segments(int n) {
-    options_.diagnose_every_segments = std::max(1, n);
-  }
-  // Switches what mid-window diagnoses localize over (takes effect at the next window; the
-  // window-end diagnosis is always cumulative). Probing and the final result are unaffected.
-  void set_streaming_view(StreamingViewMode mode) {
-    options_.streaming_view = mode;
-    ConfigureDiagnoserViews();
-  }
-  void set_sliding_window_segments(int n) {
-    options_.sliding_window_segments = std::max(1, n);
-    ConfigureDiagnoserViews();
-  }
-  // Toggles quantized vs exact exponential decay (kDecay view; takes effect at the next
-  // window — the quantized state is rebuilt from the window's segment deltas).
-  void set_decay_quantized(bool quantized) {
-    options_.decay_quantized = quantized;
-    ConfigureDiagnoserViews();
-  }
-  // Toggles incremental vs full PLL for cumulative mid-window diagnoses (bit-identical by
-  // contract; the toggle exists so tests and benches can price one against the other).
-  void set_incremental_diagnosis(bool incremental) {
-    options_.incremental_diagnosis = incremental;
-  }
-  // Routes shard observations through the wire-format report plane (takes effect at the next
-  // window). Bit-identical to direct mode under the default lossless loopback transport.
-  void set_report_plane(bool on) { options_.report_plane = on; }
-  // Re-sizes the collector fabric / per-collector ingest shards (clamped >= 1; takes effect
-  // at the next window, rebuilding the CollectorGroup and the partition map).
-  void set_report_collectors(size_t n) { options_.report_collectors = std::max<size_t>(1, n); }
-  void set_report_ingest_shards(size_t n) {
-    options_.report_ingest_shards = std::max<size_t>(1, n);
-  }
-  // Toggles the pipelined (boundary-straddling) report plane and its knobs — see the option
-  // comments. Takes effect at the next window.
-  void set_report_key(const ReportKey& key) { options_.report_key = key; }
-  void set_report_liveness_horizon(uint64_t ticks) {
-    options_.report_liveness_horizon = ticks;
-  }
-  void set_report_pipeline(bool on) { options_.report_pipeline = on; }
-  void set_report_pipeline_depth(int d) { options_.report_pipeline_depth = std::max(1, d); }
-  void set_report_pump_budget(size_t frames) { options_.report_pump_budget = frames; }
+  // Replaces the options between windows. What a changed field makes stale is dropped, and
+  // the next window rebuilds it: the probe pool, the collector fabric (any CollectorOptions
+  // input) and the window log (history_*, report_key). That window equals the first window of
+  // a system built with these options on the same seed, except for state windows carry
+  // forward (topology, watchdog, anomaly baselines, the sealed-window index). Changing a field
+  // only the constructor reads fails a CHECK.
+  void Reconfigure(DetectorSystemOptions options);
+  const DetectorSystemOptions& options() const { return options_; }  // as clamped
+  // The collector fabric's ownership map over the current pinglists — also what split-mode
+  // agent and collector processes built from the same topology derive on their own.
+  PartitionMap BuildReportPartition(size_t num_partitions) const;
   // Installs the wire backend report-plane windows run over (owned; replaces the default
   // lossless LoopbackTransport). The transport must round-trip its own Send to its own
   // Receive — in practice a LoopbackTransport, usually with injected faults. Install before
@@ -346,18 +307,11 @@ class DetectorSystem {
   Transport* report_transport(size_t i = 0) {
     return i < report_transports_.size() ? report_transports_[i].get() : nullptr;
   }
-  // Toggles the anomaly plane (takes effect at the next window). Turning it on attaches RTT
-  // observation to every subsequent probe slice; turning it off restores the pre-anomaly RNG
-  // trajectory (sampling draws happen after all loss draws, so loss counters never change
-  // within a mode, but the two modes are distinct — equally deterministic — trajectories).
-  void set_anomaly(bool on) { options_.anomaly = on; }
   const AnomalyEngine& anomaly_engine() const { return anomaly_engine_; }
   // The store's merged per-slot RTT sketches captured at the last window's close, before
   // Diagnose cleared them — the bit-identity surface the thread-count and report-vs-direct
   // gates compare (empty unless options.anomaly).
   std::span<const RttSketch> last_window_rtt_totals() const { return last_rtt_totals_; }
-  // Re-points (or disables, with "") the on-disk window log; takes effect at the next window.
-  void set_history_dir(std::string dir) { options_.history_dir = std::move(dir); }
   // An additional, caller-owned sink sealed windows are published to alongside the on-disk
   // log (or alone, with no history_dir) — how tests and benches capture retention in memory.
   void set_history_sink(WindowSink* sink) { history_sink_ = sink; }
@@ -389,19 +343,20 @@ class DetectorSystem {
   // budgeted pump + staleness enforcement; at the window end always the full drain. With a
   // probe pool, each collector runs its step as one pool task.
   void PumpReportBoundary(bool window_end);
-  // The probe pool sized to probe_threads (created or resized on demand); null at one thread.
+  // The probe pool sized to probe_threads (created on demand); null at one thread.
   ThreadPool* ProbePool();
   // One diagnosis boundary: reads the running totals once and feeds, in order, the anomaly
   // engine, the history cut, the server-link alarms and the localization (the consuming
   // window-end Diagnose when `window_end`, else the options_.streaming_view diagnosis).
   SegmentDiagnosis DiagnoseAt(int segment, double time_seconds, bool window_end, bool history);
-  // (Re)opens the window log when history_dir changed; true when any sink wants this
-  // window sealed.
+  // Opens the window log when history_dir is set and no log is open; true when any sink
+  // wants this window sealed.
   bool PrepareHistory();
-  // Enables exactly the diagnoser view state the selected streaming_view reads: the sliding
+  // Hands the options to the components that hold their own copy: the PMC repair thread
+  // count, and exactly the diagnoser view state the selected streaming_view reads (the sliding
   // ring and the decayed totals cost O(changed slots) per segment boundary, so the default
-  // cumulative view must not maintain them.
-  void ConfigureDiagnoserViews();
+  // cumulative view must not maintain them).
+  void ApplyOptions();
   FailureScenario OverlaidScenario(const FailureScenario& scenario) const;
   // For each diffed pinglist: raises its version above the pinger's recorded high-water mark
   // (a pinger reappearing after an absence would otherwise restart at the default), patches
@@ -427,13 +382,14 @@ class DetectorSystem {
   // path -> pinger replica index over pinglists_, kept current by UpdatePinglists so delta
   // dispatch touches only the diff (rebuilt wholesale when BuildPinglists replaces the lists).
   PathPingerIndex path_index_;
-  // Persistent shard workers, created lazily at the first parallel segment and resized when
-  // probe_threads changes — window execution must not pay thread start-up per segment.
+  // Persistent shard workers, created lazily at the first parallel segment (and again after
+  // Reconfigure changes probe_threads) — window execution must not pay thread start-up per
+  // segment.
   std::unique_ptr<ThreadPool> pool_;
-  // Rebuilds the collector fabric / transports to match the current options and pinglists —
-  // called at every report-plane window open (Repartition only, when the shape is unchanged).
+  // Builds the collector fabric when none stands (first report-plane window, or Reconfigure
+  // dropped it), else repartitions it over the current pinglists; fills in missing transports.
+  // Called at every report-plane window open.
   void PrepareReportFabric();
-  PartitionMap BuildReportPartition() const;
   // Report plane (created lazily at the first report-plane window): one transport per
   // collector partition, the collector fabric folding frames into the diagnoser's store, a
   // per-window id, and per-pinger frame sequence counters continuing across a window's probe
@@ -443,14 +399,9 @@ class DetectorSystem {
   std::unique_ptr<CollectorGroup> collector_group_;
   uint64_t report_window_id_ = 0;
   std::map<NodeId, uint64_t> report_seq_;
-  // Hardening options the live collector group was built with — a change forces a rebuild in
-  // PrepareReportFabric (collector key/horizon are fixed at construction).
-  ReportKey applied_report_key_;
-  uint64_t applied_liveness_horizon_ = 0;
   // Retention: the owned on-disk log (history_dir), an optional caller-owned extra sink, the
   // sealer building the current window's record, and the monotonic sealed-window index.
   std::unique_ptr<WindowLogWriter> history_log_;
-  std::string applied_history_dir_;
   WindowSink* history_sink_ = nullptr;
   WindowSealer history_sealer_;
   uint64_t history_window_index_ = 0;

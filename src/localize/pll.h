@@ -15,6 +15,8 @@ struct PllOptions {
   double hit_ratio_threshold = 0.6;  // paper default (§5.3)
   bool decompose = true;
   PreprocessOptions preprocess;
+
+  bool operator==(const PllOptions&) const = default;
 };
 
 // Carried-over state for LocalizeIncremental: the matrix's component partition, the

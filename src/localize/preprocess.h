@@ -20,6 +20,8 @@ struct PreprocessOptions {
   // noise (base loss ~1e-5/traversal), not a failure.
   double path_loss_ratio_threshold = 1e-3;
   int64_t min_lost_packets = 2;
+
+  bool operator==(const PreprocessOptions&) const = default;
 };
 
 struct PreprocessedObservations {

@@ -38,6 +38,8 @@ struct PmcOptions {
   // Guard on the explicit extended-link state (sum over components of n + C(n,2) + C(n,3));
   // exceeding it throws std::runtime_error, mirroring the paper's ">24h" infeasibility rows.
   uint64_t max_extended_links = 300'000'000;
+
+  bool operator==(const PmcOptions&) const = default;
 };
 
 struct PmcStats {

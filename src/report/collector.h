@@ -50,9 +50,9 @@ struct CollectorOptions {
   size_t queue_capacity = 1024;  // frames each ingest-shard queue holds before Offer drops
   size_t ingest_shards = 1;      // parallel decode/fold lanes (pinger-affine; clamped >= 1)
   ReportKey key;                 // frame-authentication key (must match the emitters')
-  // Liveness ticks of silence (the clock advances at every BeginWindow and every segment
-  // boundary) after which a known pinger counts as stale. 0 disables the stale flagging;
-  // last-seen tracking itself always runs.
+  // Liveness ticks of silence (the clock advances at every window open — BeginWindow or a
+  // window flip — and every segment boundary) after which a known pinger counts as stale.
+  // 0 disables the stale flagging; last-seen tracking itself always runs.
   uint64_t liveness_horizon = 0;
   // Bin count of the deployment's RTT sketches (DetectorSystemOptions::rtt_bins, --rtt-bins).
   // RTT records of any other bin count cannot merge into the running totals; they are
@@ -138,9 +138,9 @@ class Collector {
   size_t DrainShardRange(size_t begin, size_t end, size_t max_frames = 0,
                          size_t* processed = nullptr);
 
-  // Applies the oldest pending window advance flagged by drainers (hook, then flip, then
-  // dedup prune). Serial point — no concurrent drainer. True if a flip was applied; call
-  // Drain/DrainShardRange again afterwards to fold the parked frames.
+  // Applies the oldest pending window advance flagged by drainers (hook, then flip and a
+  // liveness-clock tick, then dedup prune). Serial point — no concurrent drainer. True if a
+  // flip was applied; call Drain/DrainShardRange again afterwards to fold the parked frames.
   bool AdvancePendingWindows();
 
   // Receives everything the transport has pending into the shard queues (unbounded — the
@@ -218,8 +218,9 @@ class Collector {
 
   std::atomic<uint64_t> current_window_{0};
   std::atomic<uint64_t> boundary_{0};
-  // Monotonic liveness clock: ticks at every BeginWindow and every AdvanceBoundary (the
-  // per-window boundary_ resets and cannot serve). Never reset.
+  // Monotonic liveness clock: ticks at every window open (BeginWindow, or a flip applied by
+  // AdvancePendingWindows) and every AdvanceBoundary (the per-window boundary_ resets and
+  // cannot serve). Never reset.
   std::atomic<uint64_t> liveness_clock_{0};
   std::function<void(uint64_t, uint64_t)> on_window_advance_;
   uint64_t window_advances_ = 0;  // serial-point counter (flips happen serially)

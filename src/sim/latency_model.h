@@ -18,6 +18,8 @@ struct LatencyModelOptions {
   double link_capacity_mbps = 1000.0;  // testbed used 1GbE ports
   double jitter_scale_us = 8.0;        // exponential jitter amplitude at zero load
   double max_utilization = 0.98;       // clamp to keep the M/M/1 term finite
+
+  bool operator==(const LatencyModelOptions&) const = default;
 };
 
 class LatencyModel {

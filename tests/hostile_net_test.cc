@@ -402,6 +402,34 @@ TEST(Liveness, TrackingSurvivesWindowFlips) {
   EXPECT_EQ(collector.stats().pingers_tracked, 2u);
 }
 
+// A standalone collector process calls BeginWindow once: later windows open when frames of a
+// newer window arrive and Drain applies the flip. Those flips tick the liveness clock like
+// BeginWindow does, so a silent agent is flagged there too.
+TEST(Liveness, StandaloneCollectorFlagsSilentAgentAcrossWindowFlips) {
+  ObservationStore store;
+  store.EnsureSlots(32);
+  CollectorOptions options;
+  options.liveness_horizon = 1;
+  Collector collector(store, options);
+  collector.BeginWindow(1);
+  collector.Offer(LivenessFrame(5, 1, 0));
+  collector.Offer(LivenessFrame(6, 1, 0));
+  collector.Drain();
+
+  // Agent 5 falls silent after window 1; agent 6 moves on through windows 2..5.
+  for (uint64_t w = 2; w <= 5; ++w) {
+    collector.Offer(LivenessFrame(6, w, 0));
+    collector.Drain();
+    ASSERT_EQ(collector.current_window(), w);
+    EXPECT_EQ(collector.liveness_clock(), w) << "window flip " << w << " did not tick the clock";
+    // One silent window is within the horizon of 1; from two on, agent 5 is stale.
+    EXPECT_EQ(collector.StalePingers(), w >= 3 ? std::vector<NodeId>{5} : std::vector<NodeId>{})
+        << "window " << w;
+  }
+  EXPECT_EQ(collector.stats().stale_pingers, 1u);
+  EXPECT_EQ(collector.stats().pingers_tracked, 2u);
+}
+
 // ---------------------------------------------------------------------------
 // Failover
 // ---------------------------------------------------------------------------

@@ -45,7 +45,8 @@ TEST(ParallelWindow, BitIdenticalAcrossThreadCounts) {
   const auto baseline = system.RunWindow(scenario, serial_rng);
   EXPECT_GT(baseline.probes_sent, 0);
   for (const int threads : {2, 8}) {
-    system.set_probe_threads(static_cast<size_t>(threads));
+    options.probe_threads = static_cast<size_t>(threads);
+    system.Reconfigure(options);
     Rng rng(1234);
     const auto parallel = system.RunWindow(scenario, rng);
     ExpectIdenticalAtThreads(baseline, parallel, threads);
@@ -115,8 +116,9 @@ TEST(ParallelWindow, SubshardedBitIdenticalAcrossThreadAndSubshardCounts) {
   EXPECT_GT(baseline.probes_sent, 0);
   for (const int threads : {1, 2, 8}) {
     for (const int subshards : {1, 2, 4}) {
-      system.set_probe_threads(static_cast<size_t>(threads));
-      system.set_probe_subshards(subshards);
+      options.probe_threads = static_cast<size_t>(threads);
+      options.probe_subshards = subshards;
+      system.Reconfigure(options);
       Rng rng(4321);
       const auto run = system.RunWindow(scenario, rng);
       ExpectIdenticalWindows(baseline, run,
@@ -199,7 +201,8 @@ TEST(ParallelWindow, SubshardedMatchesLegacyDistributionUnderFiltering) {
   FailureScenario scenario;
   Rng legacy_rng(99);
   const auto legacy = system.RunWindow(scenario, legacy_rng);
-  system.set_probe_subshards(4);
+  options.probe_subshards = 4;
+  system.Reconfigure(options);
   Rng sub_rng(99);
   const auto sub = system.RunWindow(scenario, sub_rng);
   // No failures injected: both trajectories observe zero loss, so the only probe-count
