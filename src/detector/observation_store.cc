@@ -37,6 +37,9 @@ void ObservationStore::Shard::RecordPathRttAtEpoch(PathId slot, uint32_t epoch, 
 }
 
 void ObservationStore::Shard::RecordIntraRack(NodeId target, int64_t sent, int64_t lost) {
+  if (lost > 0) {
+    lossy_intra_.push_back(static_cast<uint32_t>(intra_.size()));
+  }
   intra_.push_back(IntraRackObservation{pinger_, target, sent, lost});
 }
 
@@ -273,6 +276,23 @@ std::vector<IntraRackObservation> ObservationStore::IntraRackObservations(
       continue;
     }
     for (const IntraRackObservation& record : shard->intra_) {
+      if (watchdog.IsHealthy(record.target)) {
+        out.push_back(record);
+      }
+    }
+  }
+  return out;
+}
+
+std::vector<IntraRackObservation> ObservationStore::LossyIntraRackObservations(
+    const Watchdog& watchdog) const {
+  std::vector<IntraRackObservation> out;
+  for (const auto& shard : shards_) {
+    if (!watchdog.IsHealthy(shard->pinger_)) {
+      continue;
+    }
+    for (const uint32_t index : shard->lossy_intra_) {
+      const IntraRackObservation& record = shard->intra_[index];
       if (watchdog.IsHealthy(record.target)) {
         out.push_back(record);
       }

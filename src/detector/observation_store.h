@@ -91,6 +91,7 @@ class ObservationStore {
     std::vector<PathRecord> paths_;
     std::vector<RttSketch> rtt_;  // sketches referenced by PathRecord::rtt
     std::vector<IntraRackObservation> intra_;
+    std::vector<uint32_t> lossy_intra_;  // indices into intra_ of the records with lost > 0
     // Records below this index are reflected in the store's running totals (under the filter
     // and epochs applied at fold time); records at/after it stream in between serial reads.
     size_t folded_ = 0;
@@ -139,6 +140,10 @@ class ObservationStore {
   // Buffered intra-rack records (shard open order, record order within a shard), minus records
   // from or towards watchdog-flagged servers.
   std::vector<IntraRackObservation> IntraRackObservations(const Watchdog& watchdog) const;
+  // The records of IntraRackObservations with lost > 0, in the same order, read from a
+  // per-shard index kept as records are written: a boundary pays for the lossy records, not
+  // for every intra-rack probe of the window.
+  std::vector<IntraRackObservation> LossyIntraRackObservations(const Watchdog& watchdog) const;
 
   // Slots whose running totals changed since the previous TakeDirtySlots call — folded
   // records, slot invalidations, watchdog retractions/re-adds, and table growth all mark their

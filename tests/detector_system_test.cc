@@ -240,6 +240,50 @@ TEST(Diagnoser, ServerLinkAlarmsFromIntraRackProbes) {
   EXPECT_NEAR(alarms[0].loss_ratio, 0.5, 1e-9);
 }
 
+// ServerLinkAlarms walks the store's lossy-record index; it must name exactly the alarms a
+// scan of every intra-rack record names, in the same order, under any watchdog state.
+TEST(Diagnoser, ServerLinkAlarmsMatchFullScan) {
+  const FatTree ft(4);
+  const std::vector<NodeId> servers = ft.topology().NodesOfKind(NodeKind::kServer);
+  auto full_scan = [](const Diagnoser& d, const Watchdog& wd, const PreprocessOptions& pre) {
+    std::vector<ServerLinkAlarm> alarms;
+    for (const IntraRackObservation& r : d.store().IntraRackObservations(wd)) {
+      const double ratio = r.sent == 0 ? 0.0 : static_cast<double>(r.lost) / r.sent;
+      if (r.sent > 0 && r.lost >= pre.min_lost_packets && ratio > pre.path_loss_ratio_threshold) {
+        alarms.push_back(ServerLinkAlarm{r.pinger, r.target, ratio});
+      }
+    }
+    return alarms;
+  };
+  for (const bool lossless_alarms : {false, true}) {
+    PllOptions options;
+    if (lossless_alarms) {  // the configuration under which a lossless record alarms too
+      options.preprocess.min_lost_packets = 0;
+      options.preprocess.path_loss_ratio_threshold = -1.0;
+    }
+    Diagnoser diagnoser(options);
+    Rng rng(11);
+    for (int p = 0; p < 6; ++p) {
+      ObservationStore::Shard& shard = diagnoser.store().OpenShard(servers[p]);
+      for (int i = 0; i < 40; ++i) {
+        const int64_t sent = rng.NextInt(0, 20);
+        const int64_t lost = rng.NextBernoulli(0.3) && sent > 0 ? rng.NextInt(0, sent + 1) : 0;
+        shard.RecordIntraRack(servers[rng.NextBounded(servers.size())], sent, lost);
+      }
+    }
+    Watchdog wd(ft.topology());
+    for (const bool flagged : {false, true}) {
+      if (flagged) {
+        wd.MarkDown(servers[1]);
+        wd.MarkDown(servers[7]);
+      }
+      const std::vector<ServerLinkAlarm> want = full_scan(diagnoser, wd, options.preprocess);
+      ASSERT_FALSE(want.empty());
+      EXPECT_EQ(diagnoser.ServerLinkAlarms(wd), want);
+    }
+  }
+}
+
 TEST(Responder, EchoesWhileAlive) {
   Responder responder(7);
   EXPECT_TRUE(responder.HandleProbe());
