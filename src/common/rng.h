@@ -1,11 +1,14 @@
 // Deterministic, seedable PRNG used throughout the simulator so every experiment is
-// reproducible from a seed. xoshiro256** core seeded via SplitMix64; satisfies
-// UniformRandomBitGenerator so <random> distributions can be layered on top.
+// reproducible from a seed. xoshiro256** core seeded via SplitMix64. Every distribution is
+// written here on top of it, none comes from <random>: a seed names the same sample stream
+// under any standard library, and no draw touches global state (libstdc++'s binomial set-up
+// calls lgamma, which writes the global signgam).
 #ifndef SRC_COMMON_RNG_H_
 #define SRC_COMMON_RNG_H_
 
+#include <cmath>
 #include <cstdint>
-#include <random>
+#include <utility>
 
 #include "src/common/check.h"
 
@@ -76,8 +79,12 @@ class Rng {
 
   bool NextBernoulli(double p) { return NextDouble() < p; }
 
-  // Binomial(n, p) sample. Exact summation for small n, normal approximation for large n·p·(1−p).
+  // Binomial(n, p) sample, exact. Draws the count of the rarer outcome, min(p, 1 − p), and
+  // mirrors it: by inversion (one uniform, sequential search of the CDF from 0) while
+  // n·min(p, 1 − p) < kBinomialInversionMaxMean, above that by BTPE (Kachitvichyanukul &
+  // Schmeiser 1988; two uniforms per trial, accepted in about 1.1 trials on average).
   int64_t NextBinomial(int64_t n, double p);
+  static constexpr double kBinomialInversionMaxMean = 30.0;
 
   // Log-uniform double in [lo, hi]; both must be positive.
   double NextLogUniform(double lo, double hi);
@@ -94,6 +101,10 @@ class Rng {
  private:
   static constexpr uint64_t Rotl(uint64_t x, int k) { return (x << k) | (x >> (64 - k)); }
 
+  // NextBinomial's two regimes, for 0 < p <= 0.5.
+  int64_t BinomialInversion(int64_t n, double p);
+  int64_t BinomialBtpe(int64_t n, double p);
+
   uint64_t state_[4];
 };
 
@@ -105,9 +116,12 @@ inline int64_t Rng::NextBinomial(int64_t n, double p) {
   if (p >= 1.0) {
     return n;
   }
-  // std::binomial_distribution handles both regimes with acceptable speed and full accuracy.
-  std::binomial_distribution<int64_t> dist(n, p);
-  return dist(*this);
+  const bool mirrored = p > 0.5;
+  const double r = mirrored ? 1.0 - p : p;
+  const int64_t x = static_cast<double>(n) * r < kBinomialInversionMaxMean
+                        ? BinomialInversion(n, r)
+                        : BinomialBtpe(n, r);
+  return mirrored ? n - x : x;
 }
 
 inline double Rng::NextLogUniform(double lo, double hi) {

@@ -20,6 +20,12 @@ bool EntryEligible(const PinglistEntry& entry, const Watchdog* watchdog) {
          watchdog->IsHealthy(entry.target_server);
 }
 
+// Entry i's stream, keyed by the list seed and the entry's index alone: an entry draws the
+// same probes whichever range or task runs it.
+Rng EntryRng(uint64_t list_seed, size_t index) {
+  return Rng(HashCombine(list_seed, static_cast<uint64_t>(index)));
+}
+
 // RunEntries sink that buffers PathReports.
 auto AppendTo(std::vector<PathReport>& out) {
   return [&out](PathId path_id, NodeId target, int64_t sent, int64_t lost, RttSketch* rtt) {
@@ -51,10 +57,13 @@ void StoreShardSink::OnEntry(PathId path_id, NodeId target, int64_t sent, int64_
   }
 }
 
-template <typename EntryRng, typename Sink>
+template <typename Sink>
 PingerTraffic Pinger::RunEntries(const ProbeEngine& engine, double window_seconds, size_t begin,
-                                 size_t end, const Watchdog* watchdog, EntryRng&& entry_rng,
+                                 size_t end, const Watchdog* watchdog, Rng& list_rng,
                                  Sink&& sink) const {
+  // Drawn first, whatever the range and the watchdog: the caller's stream always advances by
+  // exactly this one draw.
+  const uint64_t list_seed = list_rng();
   PingerTraffic traffic;
   const std::vector<PinglistEntry>& entries = pinglist_.entries;
   int64_t eligible = 0;
@@ -90,7 +99,7 @@ PingerTraffic Pinger::RunEntries(const ProbeEngine& engine, double window_second
     }
     const int64_t packets = per_entry + (eligible_index < extra_packets ? 1 : 0);
     ++eligible_index;
-    Rng& rng = entry_rng(i);
+    Rng rng = EntryRng(list_seed, i);
     // Matrix entries sample RTTs when the engine observes them; intra-rack probes stay
     // loss-only (the anomaly plane runs over the probe matrix).
     std::optional<RttSketch> rtt;
@@ -121,9 +130,8 @@ PingerWindowResult Pinger::RunWindow(const ProbeEngine& engine, double window_se
   PingerWindowResult result;
   result.pinger = pinglist_.pinger;
   result.reports.reserve(pinglist_.entries.size());
-  const PingerTraffic traffic =
-      RunEntries(engine, window_seconds, 0, pinglist_.entries.size(), watchdog,
-                 [&](size_t) -> Rng& { return rng; }, AppendTo(result.reports));
+  const PingerTraffic traffic = RunEntries(engine, window_seconds, 0, pinglist_.entries.size(),
+                                           watchdog, rng, AppendTo(result.reports));
   result.probes_sent = traffic.probes_sent;
   result.bytes_sent = traffic.bytes_sent;
   return result;
@@ -132,8 +140,7 @@ PingerWindowResult Pinger::RunWindow(const ProbeEngine& engine, double window_se
 PingerTraffic Pinger::RunWindowTo(const ProbeEngine& engine, double window_seconds, Rng& rng,
                                   ReportSink& sink, const Watchdog* watchdog) const {
   return RunEntries(
-      engine, window_seconds, 0, pinglist_.entries.size(), watchdog,
-      [&](size_t) -> Rng& { return rng; },
+      engine, window_seconds, 0, pinglist_.entries.size(), watchdog, rng,
       [&](PathId path_id, NodeId target, int64_t sent, int64_t lost, RttSketch* rtt) {
         sink.OnEntry(path_id, target, sent, lost, rtt);
       });
@@ -143,16 +150,8 @@ PingerTraffic Pinger::RunEntryRange(const ProbeEngine& engine, double window_sec
                                     uint64_t window_seed, size_t begin, size_t end,
                                     std::vector<PathReport>& out,
                                     const Watchdog* watchdog) const {
-  Rng entry_rng;
-  return RunEntries(
-      engine, window_seconds, begin, end, watchdog,
-      [&](size_t i) -> Rng& {
-        entry_rng = ProbeEngine::ShardRng(
-            window_seed,
-            HashCombine(static_cast<uint64_t>(pinglist_.pinger), static_cast<uint64_t>(i)));
-        return entry_rng;
-      },
-      AppendTo(out));
+  Rng list_rng = ProbeEngine::ShardRng(window_seed, static_cast<uint64_t>(pinglist_.pinger));
+  return RunEntries(engine, window_seconds, begin, end, watchdog, list_rng, AppendTo(out));
 }
 
 }  // namespace detector

@@ -3,10 +3,12 @@
 // aggregates (sent, lost) per path into a 30-second report for the diagnoser.
 //
 // Every entry point runs the one entry loop: RunWindow returns the classic monolithic
-// end-of-window report and RunWindowTo streams each entry's counters into a ReportSink (a wire
-// emitter, or a StoreShardSink), both on one sequential RNG stream (ProbeEngine::ShardRng keyed
-// by pinger id in the sharded runtime); RunEntryRange runs a slice of the list with a per-entry
-// RNG stream, so the slices of one giant list can execute on different workers.
+// end-of-window report, RunWindowTo streams each entry's counters into a ReportSink (a wire
+// emitter, or a StoreShardSink), and RunEntryRange runs a slice of the list, so the slices of
+// one giant list can execute on different workers. The loop takes one draw from the caller's
+// stream as the list seed, and entry i then draws from its own stream keyed by (list seed, i):
+// given the stream ProbeEngine::ShardRng(window_seed, pinger) that RunEntryRange builds
+// itself, all three produce the same counters for every entry.
 #ifndef SRC_DETECTOR_PINGER_H_
 #define SRC_DETECTOR_PINGER_H_
 
@@ -109,28 +111,27 @@ class Pinger {
   PingerTraffic RunWindowTo(const ProbeEngine& engine, double window_seconds, Rng& rng,
                             ReportSink& sink, const Watchdog* watchdog = nullptr) const;
 
-  // Entries [begin, end) of the same window, each on its own RNG stream keyed by
-  // (window_seed, pinger, entry index) — the sub-sharded execution mode that splits a giant
-  // pinglist across workers. The packet-budget split is still computed over the whole
-  // pinglist, so the union of any disjoint range cover runs exactly the entries (and budgets)
-  // one whole-list call would, and because no entry reads another entry's stream the counters
-  // are invariant to both the sub-shard partition and thread scheduling. Reports append to
-  // `out` in entry order; the returned traffic covers this range only. (The per-entry keying
-  // is a different — equally deterministic — RNG trajectory than the sequential per-pinger
-  // stream of RunWindow, so sub-sharded windows are comparable with each other, not with
-  // whole-list ones.)
+  // Entries [begin, end) of the same window, on the list stream
+  // ProbeEngine::ShardRng(window_seed, pinger) — the sub-sharded execution mode that splits a
+  // giant pinglist across workers. The packet-budget split is still computed over the whole
+  // pinglist, and entry i draws from its own stream, so the union of any disjoint range cover
+  // reports exactly what one RunWindow(engine, window_seconds, ShardRng(window_seed, pinger))
+  // call does, whatever the partition and the thread scheduling. Reports append to `out` in
+  // entry order; the returned traffic covers this range only.
   PingerTraffic RunEntryRange(const ProbeEngine& engine, double window_seconds,
                               uint64_t window_seed, size_t begin, size_t end,
                               std::vector<PathReport>& out,
                               const Watchdog* watchdog = nullptr) const;
 
  private:
-  // The entry loop: runs every eligible entry of [begin, end), drawing entry i's probes from
-  // entry_rng(i), and hands (path_id, target, sent, lost, rtt) to `sink`; rtt is null unless
-  // the engine samples RTTs and the entry's sketch is non-empty.
-  template <typename EntryRng, typename Sink>
+  // The entry loop: takes one draw from `list_rng` as the list seed, runs every eligible entry
+  // of [begin, end) on its stream keyed by (list seed, entry index) — its loss draws, then its
+  // RTT draws, then the same for its confirmation probes — and hands (path_id, target, sent,
+  // lost, rtt) to `sink`; rtt is null unless the engine samples RTTs and the entry's sketch is
+  // non-empty.
+  template <typename Sink>
   PingerTraffic RunEntries(const ProbeEngine& engine, double window_seconds, size_t begin,
-                           size_t end, const Watchdog* watchdog, EntryRng&& entry_rng,
+                           size_t end, const Watchdog* watchdog, Rng& list_rng,
                            Sink&& sink) const;
 
   const Pinglist& pinglist_;

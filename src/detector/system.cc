@@ -447,10 +447,11 @@ void DetectorSystem::RunSegment(const FailureScenario& scenario, double seconds,
                                 options_.rtt_bins);
   }
 
-  // Serial phase: the probe tasks — per non-empty pinglist the whole list on its per-pinger
-  // stream, or (probe_subshards > 0) up to probe_subshards entry ranges on per-entry streams,
-  // so a giant list spreads across workers. The caller's rng advances once (the window seed)
-  // however many tasks or threads run, so the counters are bit-identical at any thread count.
+  // Serial phase: the probe tasks — per non-empty pinglist the whole list, or
+  // (probe_subshards > 0) up to probe_subshards entry ranges, so a giant list spreads across
+  // workers. Every entry draws from its own stream keyed by (window seed, pinger, entry), and
+  // the caller's rng advances once (the window seed) however many tasks or threads run, so
+  // the counters are bit-identical at any thread count and any sub-shard count.
   // Store shards open here, serially in pinglist order in both modes, so shard — and
   // intra-rack record — order never depends on scheduling.
   ObservationStore& store = diagnoser_.store();

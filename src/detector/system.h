@@ -3,8 +3,8 @@
 // and loss localization (diagnoser/PLL), organized in 30 s windows within 10-minute cycles.
 //
 // Window execution is sharded: each non-empty pinglist becomes one probe task (or, with
-// probe_subshards, several entry-range tasks) run on a thread pool (probe_threads), on RNG
-// streams keyed by (window seed, pinger id[, entry]). A whole-list task writes its own store
+// probe_subshards, several entry-range tasks) run on a thread pool (probe_threads), each entry
+// on its own RNG stream keyed by (window seed, pinger id, entry). A whole-list task writes its own store
 // shard, or in report mode encodes its wire frames into a per-list buffer; a serial fold in
 // pinglist order replays the entry-range buffers and sends each list's frames, which the
 // collectors — one pool task each — fold at the segment-end barrier. Results, and every
@@ -83,13 +83,12 @@ struct DetectorSystemOptions {
   size_t probe_threads = 0;
   // Sub-sharded probe execution: > 0 splits every pinglist's entry range into up to this many
   // contiguous sub-shards, each an independent pool task, so one giant pinglist no longer
-  // pins the parallel-window tail to a single worker. Sub-shards draw per-entry RNG streams
-  // keyed by (window seed, pinger, entry index), making counters invariant to both the
-  // sub-shard count and the thread count (gated in tests/parallel_window_test.cc); their
-  // reports are buffered and folded serially in (pinglist, entry) order, preserving the
-  // store's single-writer shard contract and the legacy record order. 0 (the default) keeps
-  // the one-stream-per-pinger legacy path bit-for-bit; note >= 1 is a different — equally
-  // deterministic — RNG trajectory than 0, so compare like with like.
+  // pins the parallel-window tail to a single worker. Every entry draws from its own RNG
+  // stream keyed by (window seed, pinger, entry index) in whole-list and sub-sharded tasks
+  // alike, so any value here gives bit-identical windows at any thread count (gated in
+  // tests/parallel_window_test.cc). Sub-shard reports are buffered and folded serially in
+  // (pinglist, entry) order, preserving the store's single-writer shard contract and the
+  // record order; 0 (the default) streams each whole list straight into its sink.
   int probe_subshards = 0;
   // Threads IncrementalPmc::ApplyDelta may repair touched decomposition components on when a
   // maintenance wave dirties several at once (0 = hardware concurrency). Bit-identical to

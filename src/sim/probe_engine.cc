@@ -15,6 +15,7 @@ ProbeEngine::ProbeEngine(const Topology& topo, const FailureScenario& scenario,
       failure_of_link_[static_cast<size_t>(failure.link)] =
           static_cast<int32_t>(failures_.size());
       failures_.push_back(failure);
+      has_flow_rules_ |= failure.type == FailureType::kDeterministicPartial;
       if (failure.type == FailureType::kLatencyInflation && failure.added_delay_us > 0.0) {
         if (inflation_us_.empty()) {
           inflation_us_.assign(topo.NumLinks(), 0.0);
@@ -37,6 +38,19 @@ double ProbeEngine::LinkDropProbability(LinkId link, const FlowKey& flow) const 
   return drop;
 }
 
+bool ProbeEngine::FlowSensitive(std::span<const LinkId> links) const {
+  if (!failures_active_ || !has_flow_rules_) {
+    return false;
+  }
+  for (LinkId link : links) {
+    const int32_t f = failure_of_link_[static_cast<size_t>(link)];
+    if (f >= 0 && failures_[static_cast<size_t>(f)].type == FailureType::kDeterministicPartial) {
+      return true;
+    }
+  }
+  return false;
+}
+
 double ProbeEngine::FlowSuccessProbability(std::span<const LinkId> links,
                                            const FlowKey& flow) const {
   const FlowKey reply = ReverseFlow(flow);
@@ -54,7 +68,7 @@ void ProbeEngine::AttachLatencyModel(const LatencyModel* model,
   CHECK(model != nullptr);
   CHECK_EQ(link_load_mbps.size(), topo_.NumLinks());
   latency_model_ = model;
-  link_load_mbps_.assign(link_load_mbps.begin(), link_load_mbps.end());
+  latency_terms_ = model->LinkTerms(link_load_mbps, topo_.NumLinks());
   timeout_rtt_us_ = timeout_rtt_us;
 }
 
@@ -65,11 +79,7 @@ void ProbeEngine::AttachRttObservation(const LatencyModel* model,
   CHECK(samples_per_path > 0);
   CHECK(link_load_mbps.empty() || link_load_mbps.size() == topo_.NumLinks());
   rtt_model_ = model;
-  if (link_load_mbps.empty()) {
-    rtt_link_load_mbps_.assign(topo_.NumLinks(), 0.0);
-  } else {
-    rtt_link_load_mbps_.assign(link_load_mbps.begin(), link_load_mbps.end());
-  }
+  rtt_terms_ = model->LinkTerms(link_load_mbps, topo_.NumLinks());
   rtt_samples_per_path_ = samples_per_path;
   rtt_sketch_bins_ = sketch_bins;
 }
@@ -100,27 +110,34 @@ PathObservation ProbeEngine::SimulatePath(std::span<const LinkId> links, NodeId 
   if (packets <= 0) {
     return obs;
   }
-  const int ports = std::max(1, config_.port_count);
-  const int base = packets / ports;
-  const int remainder = packets % ports;
-  for (int p = 0; p < ports; ++p) {
-    const int n = base + (p < remainder ? 1 : 0);
-    if (n == 0) {
-      continue;
+  FlowKey flow;
+  flow.src = src;
+  flow.dst = dst;
+  flow.src_port = config_.src_port_base;
+  flow.dst_port = config_.dst_port;
+  if (!FlowSensitive(links)) {
+    // Every port's flow sees the same p: one draw for the whole port loop.
+    obs.lost = rng.NextBinomial(packets, 1.0 - FlowSuccessProbability(links, flow));
+  } else {
+    const int ports = std::max(1, config_.port_count);
+    const int base = packets / ports;
+    const int remainder = packets % ports;
+    for (int p = 0; p < ports; ++p) {
+      const int n = base + (p < remainder ? 1 : 0);
+      if (n == 0) {
+        continue;
+      }
+      flow.src_port = static_cast<uint16_t>(config_.src_port_base + p);
+      obs.lost += SimulateFlow(links, flow, n, rng).lost;
     }
-    FlowKey flow;
-    flow.src = src;
-    flow.dst = dst;
-    flow.src_port = static_cast<uint16_t>(config_.src_port_base + p);
-    flow.dst_port = config_.dst_port;
-    obs.lost += SimulateFlow(links, flow, n, rng).lost;
   }
   if (latency_model_ != nullptr && obs.lost < obs.sent) {
     // Survivors whose RTT exceeds the timeout also count as lost (§1's latency-as-loss rule).
+    const PathLatency latency(links, latency_terms_);
     const int64_t survivors = obs.sent - obs.lost;
     int64_t timeouts = 0;
     for (int64_t i = 0; i < survivors; ++i) {
-      if (latency_model_->SampleRttUs(links, link_load_mbps_, rng) > timeout_rtt_us_) {
+      if (latency.SampleUs(rng) > timeout_rtt_us_) {
         ++timeouts;
       }
     }
@@ -136,11 +153,11 @@ PathObservation ProbeEngine::SimulatePath(std::span<const LinkId> links, NodeId 
         inflation += 2.0 * inflation_us_[static_cast<size_t>(link)];
       }
     }
+    const PathLatency latency(links, rtt_terms_);
     const int64_t survivors = obs.sent - obs.lost;
     const int64_t samples = std::min<int64_t>(survivors, rtt_samples_per_path_);
     for (int64_t i = 0; i < samples; ++i) {
-      const double sample = rtt_model_->SampleRttUs(links, rtt_link_load_mbps_, rng) + inflation;
-      rtt->Record(static_cast<int64_t>(sample));
+      rtt->Record(static_cast<int64_t>(latency.SampleUs(rng) + inflation));
     }
   }
   return obs;

@@ -4,7 +4,11 @@
 //
 // Two modes:
 //  - SimulatePath (fast): per-flow round-trip success probabilities are computed analytically
-//    and losses drawn binomially — used for the large sweeps (Tables 4/5, Figs 5/6).
+//    and losses drawn binomially — used for the large sweeps (Tables 4/5, Figs 5/6) and by
+//    every pinger. A path whose success probability is the same for every flow takes one
+//    draw for its whole packet count (a sum of binomials sharing p is a binomial); only a
+//    deterministic-partial rule on the path makes p depend on the flow and keeps one draw
+//    per port of the loop.
 //  - SimulatePacket (exact): one packet with an explicit flow key walks the path and every
 //    traversal rolls its own drop; returns the dropping link — used by tests, the packet-level
 //    examples and the fbtracert emulation (which needs to know *where* a packet died).
@@ -64,7 +68,10 @@ class ProbeEngine {
   // the RTT of up to rtt_samples_per_path() surviving probes into the sketch (drawn from the
   // same `rng` stream, after the loss draws, so loss trajectories with observation disabled
   // are untouched). Links under a kLatencyInflation failure add their extra delay to every
-  // sample — the gray-failure signal.
+  // sample — the gray-failure signal. Draw order on `rng`: the loss draw (one, or one per
+  // non-empty port when the path is flow-sensitive), then one timeout sample per survivor
+  // with latency-as-loss attached, then the RTT samples; each RTT sample takes one uniform
+  // per link.
   PathObservation SimulatePath(std::span<const LinkId> links, NodeId src, NodeId dst,
                                int packets, Rng& rng, RttSketch* rtt = nullptr) const;
 
@@ -110,6 +117,9 @@ class ProbeEngine {
  private:
   // Per-traversal drop probability of one link for one flow.
   double LinkDropProbability(LinkId link, const FlowKey& flow) const;
+  // Whether an active deterministic-partial rule on `links` makes the success probability
+  // depend on the flow.
+  bool FlowSensitive(std::span<const LinkId> links) const;
 
   const Topology& topo_;
   ProbeConfig config_;
@@ -117,13 +127,14 @@ class ProbeEngine {
   // Dense per-link failure lookup (a link can carry at most one injected failure).
   std::vector<int32_t> failure_of_link_;
   std::vector<LinkFailure> failures_;
+  bool has_flow_rules_ = false;  // some failure is deterministic-partial
   // Optional latency-as-loss state.
   const LatencyModel* latency_model_ = nullptr;
-  std::vector<double> link_load_mbps_;
+  LinkLatencyTerms latency_terms_;
   double timeout_rtt_us_ = 0.0;
   // Optional RTT observation state.
   const LatencyModel* rtt_model_ = nullptr;
-  std::vector<double> rtt_link_load_mbps_;
+  LinkLatencyTerms rtt_terms_;
   int rtt_samples_per_path_ = 0;
   int rtt_sketch_bins_ = RttSketch::kDefaultBins;
   // Extra one-way delay (us) of each link's active kLatencyInflation failure, dense by link;
