@@ -8,6 +8,7 @@
 #include <vector>
 
 #include "src/detector/observation_store.h"
+#include "src/detector/pinger.h"
 #include "src/detector/system.h"
 #include "src/routing/fattree_routing.h"
 #include "src/sim/churn.h"
@@ -124,6 +125,82 @@ TEST(ParallelWindow, SubshardedBitIdenticalAcrossThreadAndSubshardCounts) {
       ExpectIdenticalWindows(baseline, run,
                              "threads=" + std::to_string(threads) +
                                  " subshards=" + std::to_string(subshards));
+    }
+  }
+}
+
+TEST(ParallelWindow, WholeListAndSubshardedWindowsAreBitIdentical) {
+  // Every entry draws from its own stream in whole-list tasks too, so probe_subshards = 0
+  // (whole lists) and any sub-shard count give the same window at any thread count.
+  const FatTree ft(4);
+  const FatTreeRouting routing(ft);
+  DetectorSystemOptions options;
+  options.pmc.alpha = 2;
+  options.pmc.beta = 1;
+  options.controller.packets_per_second = 50;
+  options.probe_threads = 1;
+  options.probe_subshards = 0;
+  DetectorSystem system(routing, options);
+  FailureScenario scenario;
+  LinkFailure f;
+  f.link = ft.AggCoreLink(1, 0, 1);
+  f.type = FailureType::kRandomPartial;
+  f.loss_rate = 0.05;
+  scenario.failures.push_back(f);
+
+  Rng baseline_rng(99);
+  const auto baseline = system.RunWindow(scenario, baseline_rng);
+  EXPECT_GT(baseline.probes_sent, 0);
+  for (const int threads : {1, 2}) {
+    for (const int subshards : {0, 1, 4}) {
+      options.probe_threads = static_cast<size_t>(threads);
+      options.probe_subshards = subshards;
+      system.Reconfigure(options);
+      Rng rng(99);
+      ExpectIdenticalWindows(baseline, system.RunWindow(scenario, rng),
+                             "threads=" + std::to_string(threads) +
+                                 " subshards=" + std::to_string(subshards));
+    }
+  }
+}
+
+TEST(ParallelWindow, RunWindowEqualsUnionOfEntryRanges) {
+  const FatTree ft(4);
+  FailureScenario scenario;
+  LinkFailure f;
+  f.link = ft.EdgeAggLink(0, 0, 0);
+  f.type = FailureType::kRandomPartial;
+  f.loss_rate = 0.3;
+  scenario.failures.push_back(f);
+  const ProbeEngine engine(ft.topology(), scenario, ProbeConfig{});
+  Pinglist list;
+  list.pinger = ft.Server(0, 0, 0);
+  list.packets_per_second = 40;
+  for (int pod = 1; pod < 4; ++pod) {
+    for (int e = 0; e < 2; ++e) {
+      PinglistEntry entry;
+      entry.path_id = pod * 2 + e;
+      entry.target_server = ft.Server(pod, e, 0);
+      entry.route = {ft.EdgeAggLink(0, 0, 0), ft.EdgeAggLink(pod, e, 0)};
+      list.entries.push_back(entry);
+    }
+  }
+  const Pinger pinger(list);
+  const uint64_t window_seed = 0x5eed;
+  Rng rng = ProbeEngine::ShardRng(window_seed, static_cast<uint64_t>(list.pinger));
+  const PingerWindowResult whole = pinger.RunWindow(engine, 30.0, rng);
+  ASSERT_EQ(whole.reports.size(), list.entries.size());
+  for (const size_t cut : {size_t{0}, size_t{1}, size_t{4}}) {
+    std::vector<PathReport> ranges;
+    const PingerTraffic a = pinger.RunEntryRange(engine, 30.0, window_seed, 0, cut, ranges);
+    const PingerTraffic b =
+        pinger.RunEntryRange(engine, 30.0, window_seed, cut, list.entries.size(), ranges);
+    EXPECT_EQ(a.probes_sent + b.probes_sent, whole.probes_sent);
+    ASSERT_EQ(ranges.size(), whole.reports.size());
+    for (size_t i = 0; i < ranges.size(); ++i) {
+      EXPECT_EQ(ranges[i].path_id, whole.reports[i].path_id);
+      EXPECT_EQ(ranges[i].sent, whole.reports[i].sent);
+      EXPECT_EQ(ranges[i].lost, whole.reports[i].lost);
     }
   }
 }
