@@ -3,6 +3,8 @@
 // reproduces the §6.1 controller claim (4473 pinglist requests/second on one core).
 #include <benchmark/benchmark.h>
 
+#include <random>
+
 #include "src/detector/controller.h"
 #include "src/localize/pll.h"
 #include "src/pmc/pmc.h"
@@ -10,6 +12,7 @@
 #include "src/routing/ecmp.h"
 #include "src/routing/fattree_routing.h"
 #include "src/sim/failure_model.h"
+#include "src/sim/latency_model.h"
 #include "src/sim/probe_engine.h"
 #include "src/sim/watchdog.h"
 
@@ -96,6 +99,70 @@ void BM_SimulatePathWindow(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_SimulatePathWindow);
+
+// The simulator's binomial draw at the sizes a window makes: 2 M draws with n from 2 to 15
+// (a pinglist entry's packets at tiny loss, as one whole-path draw) and n = 300 at p = 0.05.
+// Arg 0 times Rng::NextBinomial, arg 1 the std::binomial_distribution reference (constructed
+// per draw, as the simulator used it).
+constexpr int kBinomialDraws = 2000000;
+
+template <typename Draw>
+void RunBinomialDraws(benchmark::State& state, Draw&& draw) {
+  for (auto _ : state) {
+    int64_t sum = 0;
+    for (int i = 0; i < kBinomialDraws; ++i) {
+      sum += draw(i);
+    }
+    benchmark::DoNotOptimize(sum);
+  }
+  state.SetItemsProcessed(state.iterations() * kBinomialDraws);
+}
+
+void BM_NextBinomialSmallN(benchmark::State& state) {
+  Rng rng(3);
+  const double p = 8e-5;  // round-trip loss of a healthy 4-link path at base loss 1e-5
+  if (state.range(0) == 0) {
+    RunBinomialDraws(state, [&](int i) { return rng.NextBinomial(2 + i % 14, p); });
+  } else {
+    RunBinomialDraws(state, [&](int i) {
+      std::binomial_distribution<int64_t> dist(2 + i % 14, p);
+      return dist(rng);
+    });
+  }
+}
+BENCHMARK(BM_NextBinomialSmallN)->Arg(0)->Arg(1)->Unit(benchmark::kMillisecond);
+
+void BM_NextBinomialN300(benchmark::State& state) {
+  Rng rng(4);
+  if (state.range(0) == 0) {
+    RunBinomialDraws(state, [&](int) { return rng.NextBinomial(300, 0.05); });
+  } else {
+    RunBinomialDraws(state, [&](int) {
+      std::binomial_distribution<int64_t> dist(300, 0.05);
+      return dist(rng);
+    });
+  }
+}
+BENCHMARK(BM_NextBinomialN300)->Arg(0)->Arg(1)->Unit(benchmark::kMillisecond);
+
+// One RTT sample on a 6-link unloaded path: arg 0 PathLatency (terms summed once, one log
+// per sample), arg 1 the per-link LatencyModel::SampleRttUs reference (one log1p per link).
+void BM_RttSample(benchmark::State& state) {
+  const FatTree ft(8);
+  const LatencyModel model(LatencyModelOptions{});
+  const std::vector<double> load(ft.topology().NumLinks(), 0.0);
+  const LinkLatencyTerms terms = model.LinkTerms(load, ft.topology().NumLinks());
+  const std::vector<LinkId> path{ft.ServerLink(0, 0, 0),   ft.EdgeAggLink(0, 0, 0),
+                                 ft.AggCoreLink(0, 0, 0),  ft.AggCoreLink(1, 0, 0),
+                                 ft.EdgeAggLink(1, 0, 0),  ft.ServerLink(1, 0, 0)};
+  const PathLatency latency(path, terms);
+  Rng rng(5);
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(state.range(0) == 0 ? latency.SampleUs(rng)
+                                                 : model.SampleRttUs(path, load, rng));
+  }
+}
+BENCHMARK(BM_RttSample)->Arg(0)->Arg(1);
 
 // §6.1: the controller serves pinglist files over HTTP; serialization dominates. The paper
 // measured 4473 requests/s on one core.
