@@ -13,13 +13,17 @@
 //      query plane (top links / episodes) over the log, exercised end to end.
 //
 // Flags: --k=10 --windows=3 --pps=150 --segments=6 --diagnose-every=2 --repeat=5
+//        --min-timed-ms=200
 //        --log-dir=out/bench_history_log --segment-records=256 --altered-threshold=0.3
 //        --seed=1 --json=FILE
 //
 // Default scale note: the overhead gate divides ~tens of microseconds of sealing + append
-// work by the window-path time, so the window must be big enough to measure against — k=10
-// puts it around 2 ms; at k=6 the ~0.5 ms windows make the ratio syscall-noise-bound.
+// work by the window-path time, so the timed run must be big enough to measure against. A
+// k=10 window takes a few ms, and 3 of them put the ratio at timer and syscall noise (a 5%
+// gate failed about 1 run in 3 that way), so a timed run covers at least --windows windows
+// and at least --min-timed-ms of bare window time, sized once by a calibration run.
 #include <algorithm>
+#include <cmath>
 #include <cstdio>
 #include <cstdlib>
 #include <filesystem>
@@ -42,6 +46,7 @@ int main(int argc, char** argv) {
   flags.Describe("segments", "probe slices per window (default 6)");
   flags.Describe("diagnose-every", "streaming diagnosis cadence in segments (default 2)");
   flags.Describe("repeat", "timing repetitions, best-of (default 5)");
+  flags.Describe("min-timed-ms", "least bare window time per timed run, in ms (default 200)");
   flags.Describe("log-dir", "window-log directory (default out/bench_history_log; wiped)");
   flags.Describe("segment-records", "window-log records per segment file (default 256)");
   flags.Describe("altered-threshold", "hit-ratio threshold for the what-if replay (default 0.3)");
@@ -60,6 +65,8 @@ int main(int argc, char** argv) {
   const int segments = std::max(1, static_cast<int>(flags.GetInt("segments", 6)));
   const int cadence = std::max(1, static_cast<int>(flags.GetInt("diagnose-every", 2)));
   const int repeat = std::max(1, static_cast<int>(flags.GetInt("repeat", 5)));
+  const double min_timed_s =
+      std::max<int64_t>(0, flags.GetInt("min-timed-ms", 200)) / 1000.0;
   const std::string log_dir = flags.GetString("log-dir", "out/bench_history_log");
   const size_t segment_records =
       static_cast<size_t>(std::max<int64_t>(1, flags.GetInt("segment-records", 256)));
@@ -95,37 +102,57 @@ int main(int argc, char** argv) {
     return options;
   };
 
-  // One pass: a warmup window (pays one-time setup — log directory creation, segment open —
-  // outside the timer) then `windows` timed streaming windows. Same seed each call, so the
-  // bare and logged runs execute the identical probing trajectory; the warmup window is part
-  // of the recorded log and of the identity check, just not of the timing.
-  auto run_windows = [&](const std::string& history_dir, double& seconds_out) {
-    DetectorSystemOptions options = base_options();
-    options.history_dir = history_dir;
-    options.history_segment_records = segment_records;
-    DetectorSystem system(routing, options);
-    Rng rng(seed + 7);
+  // One pass: a bare and a logged system side by side on the same seed, so both execute the
+  // identical probing trajectory. Each takes a warmup window (the logged one pays one-time
+  // setup — log directory creation, segment open — outside the timer), then `count` timed
+  // windows alternate between the two, each window timed on its own: host drift (co-tenant
+  // bursts) lands on both sums alike instead of on whichever run it overlapped. The logged
+  // system's windows, warmup included, are returned for the identity check.
+  auto run_pair = [&](int count, double& bare_out, double& logged_out) {
+    DetectorSystemOptions logged_options = base_options();
+    logged_options.history_dir = log_dir;
+    logged_options.history_segment_records = segment_records;
+    DetectorSystem bare(routing, base_options());
+    DetectorSystem logged(routing, logged_options);
+    Rng bare_rng(seed + 7);
+    Rng logged_rng(seed + 7);
     std::vector<DetectorSystem::StreamingWindowResult> out;
-    out.push_back(system.RunWindowStreaming(scenario, {}, rng));
-    WallTimer timer;
-    for (int w = 0; w < windows; ++w) {
-      out.push_back(system.RunWindowStreaming(scenario, {}, rng));
+    bare.RunWindowStreaming(scenario, {}, bare_rng);
+    out.push_back(logged.RunWindowStreaming(scenario, {}, logged_rng));
+    bare_out = 0.0;
+    logged_out = 0.0;
+    for (int w = 0; w < count; ++w) {
+      WallTimer bare_timer;
+      bare.RunWindowStreaming(scenario, {}, bare_rng);
+      bare_out += bare_timer.ElapsedSeconds();
+      WallTimer logged_timer;
+      out.push_back(logged.RunWindowStreaming(scenario, {}, logged_rng));
+      logged_out += logged_timer.ElapsedSeconds();
     }
-    seconds_out = timer.ElapsedSeconds();
     return out;
   };
 
   // ---- (1) log-write overhead on the streaming window path ------------------------------
+  int timed_windows = windows;
+  {
+    double bare;
+    double logged;
+    std::filesystem::remove_all(log_dir);
+    run_pair(windows, bare, logged);
+    if (bare > 0.0 && bare < min_timed_s) {
+      timed_windows = std::min(1000, static_cast<int>(std::ceil(min_timed_s / bare * windows)));
+    }
+  }
   double bare_s = 1e100;
   double logged_s = 1e100;
   std::vector<DetectorSystem::StreamingWindowResult> live;
   for (int r = 0; r < repeat; ++r) {
-    double s;
-    run_windows("", s);
-    bare_s = std::min(bare_s, s);
-    std::filesystem::remove_all(log_dir);  // each logged repeat writes a fresh log
-    live = run_windows(log_dir, s);
-    logged_s = std::min(logged_s, s);
+    double bare;
+    double logged;
+    std::filesystem::remove_all(log_dir);  // each repeat writes a fresh log
+    live = run_pair(timed_windows, bare, logged);
+    bare_s = std::min(bare_s, bare);
+    logged_s = std::min(logged_s, logged);
   }
   const double overhead_pct = bare_s <= 0.0 ? 0.0 : (logged_s - bare_s) / bare_s * 100.0;
 
@@ -135,9 +162,9 @@ int main(int argc, char** argv) {
     log_bytes += std::filesystem::file_size(entry.path());
   }
   TablePrinter overhead_table({"run", "windows", "best s", "log records", "log bytes"});
-  overhead_table.AddRow({"bare", TablePrinter::FmtInt(windows), TablePrinter::Fmt(bare_s, 4),
+  overhead_table.AddRow({"bare", TablePrinter::FmtInt(timed_windows), TablePrinter::Fmt(bare_s, 4),
                          "-", "-"});
-  overhead_table.AddRow({"logged", TablePrinter::FmtInt(windows),
+  overhead_table.AddRow({"logged", TablePrinter::FmtInt(timed_windows),
                          TablePrinter::Fmt(logged_s, 4),
                          TablePrinter::FmtInt(static_cast<int64_t>(log_read.windows.size())),
                          TablePrinter::FmtInt(static_cast<int64_t>(log_bytes))});
@@ -174,8 +201,8 @@ int main(int argc, char** argv) {
               identity ? "bit-identical" : "DIVERGED", boundaries_checked, replayed.size());
 
   // ---- (3) recorded-trace input mode: replay throughput vs re-simulation ----------------
-  const double live_per_window = bare_s / windows;
-  const double replay_per_window = replay_s / windows;
+  const double live_per_window = bare_s / timed_windows;
+  const double replay_per_window = replay_s / static_cast<double>(live.size());
   const double replay_speedup =
       replay_per_window > 0.0 ? live_per_window / replay_per_window : 0.0;
   std::printf("recorded-trace mode: %.2f ms/window replayed vs %.2f ms/window simulated "
@@ -208,7 +235,7 @@ int main(int argc, char** argv) {
   }
   std::printf("\n");
 
-  json.Metric("windows", windows);
+  json.Metric("windows", timed_windows);
   json.Metric("bare_s", bare_s);
   json.Metric("logged_s", logged_s);
   json.Metric("overhead_pct", overhead_pct);
