@@ -19,9 +19,10 @@
 //
 // Default scale note: the overhead gate divides ~tens of microseconds of sealing + append
 // work by the window-path time, so the timed run must be big enough to measure against. A
-// k=10 window takes a few ms, and 3 of them put the ratio at timer and syscall noise (a 5%
-// gate failed about 1 run in 3 that way), so a timed run covers at least --windows windows
-// and at least --min-timed-ms of bare window time, sized once by a calibration run.
+// k=10 window takes under a millisecond, and 3 of them put the ratio at timer and syscall
+// noise (a 5% gate failed about 1 run in 3 that way), so a timed run covers at least
+// --windows windows and at least --min-timed-ms of bare window time, sized once by a
+// calibration run.
 #include <algorithm>
 #include <cmath>
 #include <cstdio>
