@@ -166,6 +166,32 @@ TEST(BinomialSampler, DegenerateParameters) {
   EXPECT_EQ(rng.NextBinomial(50, 2.0), 50);
 }
 
+// The draws a seed names are part of the simulator's contract: these pinned values hold under
+// any standard library and change only with a deliberate re-baseline of the trajectory.
+TEST(BinomialSampler, GoldenSequence) {
+  struct Case {
+    int64_t n;
+    double p;
+    int64_t draws[8];
+  };
+  const Case cases[] = {
+      {15, 0.08, {1, 2, 1, 3, 0, 1, 1, 0}},
+      {12, 0.3, {3, 5, 4, 6, 2, 4, 3, 3}},
+      {300, 0.05, {14, 19, 16, 20, 11, 15, 14, 13}},
+      {1000, 0.4, {389, 400, 391, 409, 379, 417, 388, 364}},
+      {100000, 0.7, {70126, 70024, 70098, 69930, 70217, 69851, 70133, 69960}},
+  };
+  for (const Case& c : cases) {
+    Rng rng(42);
+    for (const int64_t want : c.draws) {
+      EXPECT_EQ(rng.NextBinomial(c.n, c.p), want) << "n=" << c.n << " p=" << c.p;
+    }
+  }
+  Rng raw(7);
+  EXPECT_EQ(raw(), 11231382816576475842ULL);
+  EXPECT_EQ(raw(), 16364480853149029173ULL);
+}
+
 // The loss count of one SimulatePath call over `trials` calls, against `pmf`.
 ChiSquare PathLossFit(const ProbeEngine& engine, std::span<const LinkId> path, NodeId src,
                       NodeId dst, int packets, const std::vector<double>& pmf, int trials,
