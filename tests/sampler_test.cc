@@ -188,8 +188,8 @@ TEST(BinomialSampler, GoldenSequence) {
     }
   }
   Rng raw(7);
-  EXPECT_EQ(raw(), 11231382816576475842ULL);
   EXPECT_EQ(raw(), 16364480853149029173ULL);
+  EXPECT_EQ(raw(), 11231382816576475842ULL);
 }
 
 // The loss count of one SimulatePath call over `trials` calls, against `pmf`.
