@@ -13,7 +13,6 @@
 //      query plane (top links / episodes) over the log, exercised end to end.
 //
 // Flags: --k=10 --windows=3 --pps=150 --segments=6 --diagnose-every=2 --repeat=5
-//        --min-timed-ms=200
 //        --log-dir=out/bench_history_log --segment-records=256 --altered-threshold=0.3
 //        --seed=1 --json=FILE
 //
@@ -21,7 +20,7 @@
 // work by the window-path time, so the timed run must be big enough to measure against. A
 // k=10 window takes under a millisecond, and 3 of them put the ratio at timer and syscall
 // noise (a 5% gate failed about 1 run in 3 that way), so a timed run covers at least
-// --windows windows and at least --min-timed-ms of bare window time, sized once by a
+// --windows windows and at least kMinTimedSeconds of bare window time, sized once by a
 // calibration run.
 #include <algorithm>
 #include <cmath>
@@ -47,7 +46,6 @@ int main(int argc, char** argv) {
   flags.Describe("segments", "probe slices per window (default 6)");
   flags.Describe("diagnose-every", "streaming diagnosis cadence in segments (default 2)");
   flags.Describe("repeat", "timing repetitions, best-of (default 5)");
-  flags.Describe("min-timed-ms", "least bare window time per timed run, in ms (default 200)");
   flags.Describe("log-dir", "window-log directory (default out/bench_history_log; wiped)");
   flags.Describe("segment-records", "window-log records per segment file (default 256)");
   flags.Describe("altered-threshold", "hit-ratio threshold for the what-if replay (default 0.3)");
@@ -66,8 +64,7 @@ int main(int argc, char** argv) {
   const int segments = std::max(1, static_cast<int>(flags.GetInt("segments", 6)));
   const int cadence = std::max(1, static_cast<int>(flags.GetInt("diagnose-every", 2)));
   const int repeat = std::max(1, static_cast<int>(flags.GetInt("repeat", 5)));
-  const double min_timed_s =
-      std::max<int64_t>(0, flags.GetInt("min-timed-ms", 200)) / 1000.0;
+  constexpr double kMinTimedSeconds = 0.2;
   const std::string log_dir = flags.GetString("log-dir", "out/bench_history_log");
   const size_t segment_records =
       static_cast<size_t>(std::max<int64_t>(1, flags.GetInt("segment-records", 256)));
@@ -140,8 +137,9 @@ int main(int argc, char** argv) {
     double logged;
     std::filesystem::remove_all(log_dir);
     run_pair(windows, bare, logged);
-    if (bare > 0.0 && bare < min_timed_s) {
-      timed_windows = std::min(1000, static_cast<int>(std::ceil(min_timed_s / bare * windows)));
+    if (bare > 0.0 && bare < kMinTimedSeconds) {
+      timed_windows =
+          std::min(1000, static_cast<int>(std::ceil(kMinTimedSeconds / bare * windows)));
     }
   }
   double bare_s = 1e100;
