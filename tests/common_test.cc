@@ -142,6 +142,24 @@ TEST(Crc32, SliceBy8MatchesBytewiseAtEveryLengthAndOffset) {
   }
 }
 
+TEST(Crc32, LongInputsMatchBytewise) {
+  // Inputs of 64 bytes and more take the carry-less multiply folding path where the host has
+  // one: lengths 64..600 cover the 64-byte loop, every 16-byte fold count and every tail.
+  Rng rng(47);
+  std::vector<uint8_t> buffer(16 + 600);
+  for (uint8_t& b : buffer) {
+    b = static_cast<uint8_t>(rng.NextBounded(256));
+  }
+  for (size_t offset = 0; offset < 16; offset += 3) {
+    for (size_t len = 64; len <= 600; ++len) {
+      const std::span<const uint8_t> bytes(buffer.data() + offset, len);
+      EXPECT_EQ(Crc32(bytes), Crc32Bytewise(bytes)) << "offset " << offset << " len " << len;
+      EXPECT_EQ(Crc32(bytes, 0xDEADBEEFu), Crc32Bytewise(bytes, 0xDEADBEEFu))
+          << "seeded, offset " << offset << " len " << len;
+    }
+  }
+}
+
 TEST(Stats, OnlineMeanVariance) {
   OnlineStats s;
   for (double x : {2.0, 4.0, 4.0, 4.0, 5.0, 5.0, 7.0, 9.0}) {
