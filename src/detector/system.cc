@@ -812,7 +812,7 @@ DetectorSystem::StreamingWindowResult DetectorSystem::RunWindowImpl(
     out.timeline.push_back(std::move(end));
   }
   if (history) {
-    const SealedWindow sealed = history_sealer_.Finish(
+    SealedWindow sealed = history_sealer_.Finish(
         matrix_.NumPaths(), result.churn_events_applied, overlay_.NumDeadLinks(),
         result.probes_sent, result.bytes_sent);
     if (history_log_ != nullptr) {
@@ -821,6 +821,7 @@ DetectorSystem::StreamingWindowResult DetectorSystem::RunWindowImpl(
     if (history_sink_ != nullptr) {
       history_sink_->OnWindowSealed(sealed);
     }
+    history_sealer_.Recycle(std::move(sealed));
     ++history_window_index_;
   }
   return out;

@@ -5,6 +5,7 @@
 #include <filesystem>
 #include <fstream>
 #include <system_error>
+#include <utility>
 
 #include "src/common/crc32.h"
 #include "src/common/siphash.h"
@@ -25,10 +26,12 @@ constexpr size_t kTagOffset = 3;      // 8-byte SipHash tag at [3, 11)
 constexpr size_t kPayloadOffset = 11;
 constexpr size_t kMinFrameBytes = kPayloadOffset + 4;  // header + tag + CRC, empty payload
 
-void PutFixed64(std::vector<uint8_t>& out, uint64_t v) {
+// Little-endian fixed 64-bit field into a pre-sized buffer; returns the end of the bytes.
+uint8_t* WriteFixed64(uint8_t* p, uint64_t v) {
   for (int i = 0; i < 8; ++i) {
-    out.push_back(static_cast<uint8_t>(v >> (8 * i)));
+    *p++ = static_cast<uint8_t>(v >> (8 * i));
   }
+  return p;
 }
 
 bool GetFixed64(std::span<const uint8_t> bytes, size_t& pos, uint64_t& v) {
@@ -56,47 +59,49 @@ double DoubleFromBits(uint64_t bits) {
   return d;
 }
 
-void EncodePayload(const SealedWindow& w, std::vector<uint8_t>& out) {
-  PutVarint(out, w.window_index);
-  PutVarint(out, w.num_slots);
-  PutVarint(out, w.churn_events);
-  PutVarint(out, w.dead_links);
-  PutVarint(out, ZigzagEncode(w.probes_sent));
-  PutVarint(out, ZigzagEncode(w.bytes_sent));
-  PutVarint(out, w.boundaries.size());
+// Hands every payload field to `varint` or `fixed64`, in record order.
+template <typename Varint, typename Fixed64>
+void ForEachPayloadField(const SealedWindow& w, Varint&& varint, Fixed64&& fixed64) {
+  varint(w.window_index);
+  varint(w.num_slots);
+  varint(w.churn_events);
+  varint(w.dead_links);
+  varint(ZigzagEncode(w.probes_sent));
+  varint(ZigzagEncode(w.bytes_sent));
+  varint(w.boundaries.size());
   for (const SealedBoundary& b : w.boundaries) {
-    PutVarint(out, static_cast<uint64_t>(b.segment));
-    PutFixed64(out, DoubleBits(b.time_seconds));
-    PutVarint(out, b.deltas.size());
+    varint(static_cast<uint64_t>(b.segment));
+    fixed64(DoubleBits(b.time_seconds));
+    varint(b.deltas.size());
     // Deltas are cut in ascending slot order, so the slot column delta-encodes like the wire
     // frames' slot gaps do.
     PathId prev_slot = 0;
     for (const SealedDelta& d : b.deltas) {
-      PutVarint(out, static_cast<uint64_t>(d.slot - prev_slot));
+      varint(static_cast<uint64_t>(d.slot - prev_slot));
       prev_slot = d.slot;
-      PutVarint(out, ZigzagEncode(d.sent));
-      PutVarint(out, ZigzagEncode(d.lost));
+      varint(ZigzagEncode(d.sent));
+      varint(ZigzagEncode(d.lost));
     }
-    PutVarint(out, b.suspects.size());
+    varint(b.suspects.size());
     for (const SuspectLink& s : b.suspects) {
-      PutVarint(out, static_cast<uint64_t>(s.link));
-      PutFixed64(out, DoubleBits(s.estimated_loss_rate));
-      PutFixed64(out, DoubleBits(s.hit_ratio));
-      PutVarint(out, ZigzagEncode(s.explained_losses));
+      varint(static_cast<uint64_t>(s.link));
+      fixed64(DoubleBits(s.estimated_loss_rate));
+      fixed64(DoubleBits(s.hit_ratio));
+      varint(ZigzagEncode(s.explained_losses));
     }
-    PutVarint(out, b.alarms.size());
+    varint(b.alarms.size());
     for (const ServerLinkAlarm& a : b.alarms) {
-      PutVarint(out, static_cast<uint64_t>(a.pinger));
-      PutVarint(out, static_cast<uint64_t>(a.target));
-      PutFixed64(out, DoubleBits(a.loss_ratio));
+      varint(static_cast<uint64_t>(a.pinger));
+      varint(static_cast<uint64_t>(a.target));
+      fixed64(DoubleBits(a.loss_ratio));
     }
     // v2: anomaly-plane alarms.
-    PutVarint(out, b.anomalies.size());
+    varint(b.anomalies.size());
     for (const LinkAnomaly& an : b.anomalies) {
-      PutVarint(out, static_cast<uint64_t>(an.link));
-      PutVarint(out, an.signal);
-      PutFixed64(out, DoubleBits(an.score));
-      PutVarint(out, static_cast<uint64_t>(an.sustained));
+      varint(static_cast<uint64_t>(an.link));
+      varint(an.signal);
+      fixed64(DoubleBits(an.score));
+      varint(static_cast<uint64_t>(an.sustained));
     }
   }
 }
@@ -261,29 +266,58 @@ const char* WindowLogStatusName(WindowLogStatus status) {
   return "unknown";
 }
 
+namespace {
+
+constexpr size_t kMaxVarintBytes = 10;
+
+// Bytes a record can take at most: every field at the 10-byte varint maximum (a fixed 64-bit
+// field takes 8), plus the length prefix, header, tag and CRC.
+size_t RecordBound(const SealedWindow& w) {
+  size_t fields = 7;
+  for (const SealedBoundary& b : w.boundaries) {
+    fields += 6 + 3 * b.deltas.size() + 4 * b.suspects.size() + 3 * b.alarms.size() +
+              4 * b.anomalies.size();
+  }
+  return kMaxVarintBytes + kPayloadOffset + fields * kMaxVarintBytes + 4;
+}
+
+// Writes `window`'s record into `buf` (RecordBound bytes) in one pass over its fields: the
+// frame starts at kMaxVarintBytes, and its length prefix goes right before it once the length
+// is known. Returns the record's [begin, end) offsets in `buf`.
+std::pair<size_t, size_t> WriteRecord(const SealedWindow& window, const ReportKey& key,
+                                      uint8_t* buf) {
+  uint8_t* frame = buf + kMaxVarintBytes;
+  frame[0] = kRecordMagic0;
+  frame[1] = kRecordMagic1;
+  frame[2] = kRecordVersion;
+  uint8_t* payload = frame + kPayloadOffset;
+  uint8_t* p = payload;
+  ForEachPayloadField(
+      window, [&](uint64_t value) { p = WriteVarint(p, value); },
+      [&](uint64_t value) { p = WriteFixed64(p, value); });
+  const size_t payload_size = static_cast<size_t>(p - payload);
+  WriteFixed64(frame + kTagOffset,
+               SipHash24(key.k0, key.k1, std::span<const uint8_t>(payload, payload_size)));
+  const size_t frame_size = kPayloadOffset + payload_size + 4;
+  const uint32_t crc = Crc32(std::span<const uint8_t>(frame, frame_size - 4));
+  for (int i = 0; i < 4; ++i) {
+    p[i] = static_cast<uint8_t>(crc >> (8 * i));
+  }
+  const size_t begin = kMaxVarintBytes - VarintSize(frame_size);
+  WriteVarint(buf + begin, frame_size);
+  return {begin, kMaxVarintBytes + frame_size};
+}
+
+}  // namespace
+
 void EncodeWindowRecord(const SealedWindow& window, const ReportKey& key,
                         std::vector<uint8_t>& out) {
-  std::vector<uint8_t> frame;
-  frame.push_back(kRecordMagic0);
-  frame.push_back(kRecordMagic1);
-  frame.push_back(kRecordVersion);
-  for (int i = 0; i < 8; ++i) {
-    frame.push_back(0);  // tag placeholder
-  }
-  EncodePayload(window, frame);
-  const uint64_t tag =
-      SipHash24(key.k0, key.k1,
-                std::span<const uint8_t>(frame.data() + kPayloadOffset,
-                                         frame.size() - kPayloadOffset));
-  for (int i = 0; i < 8; ++i) {
-    frame[kTagOffset + static_cast<size_t>(i)] = static_cast<uint8_t>(tag >> (8 * i));
-  }
-  const uint32_t crc = Crc32(frame);
-  for (int i = 0; i < 4; ++i) {
-    frame.push_back(static_cast<uint8_t>(crc >> (8 * i)));
-  }
-  PutVarint(out, frame.size());
-  out.insert(out.end(), frame.begin(), frame.end());
+  const size_t start = out.size();
+  out.resize(start + RecordBound(window));
+  const auto [begin, end] = WriteRecord(window, key, out.data() + start);
+  out.erase(out.begin() + static_cast<ptrdiff_t>(start),
+            out.begin() + static_cast<ptrdiff_t>(start + begin));
+  out.resize(start + end - begin);
 }
 
 WindowLogStatus DecodeWindowRecord(std::span<const uint8_t> bytes, size_t& pos,
@@ -452,9 +486,14 @@ bool WindowLogWriter::Append(const SealedWindow& window) {
       return false;
     }
   }
-  scratch_.clear();
-  EncodeWindowRecord(window, options_.key, scratch_);
-  if (std::fwrite(scratch_.data(), 1, scratch_.size(), file_) != scratch_.size()) {
+  // scratch_ only grows, so a steady run encodes without allocating or zero-filling.
+  const size_t bound = RecordBound(window);
+  if (scratch_.size() < bound) {
+    scratch_.resize(bound);
+  }
+  const auto [begin, end] = WriteRecord(window, options_.key, scratch_.data());
+  const size_t bytes = end - begin;
+  if (std::fwrite(scratch_.data() + begin, 1, bytes, file_) != bytes) {
     error_ = "short write to " + segment_paths_.back();
     ok_ = false;
     return false;
@@ -464,7 +503,7 @@ bool WindowLogWriter::Append(const SealedWindow& window) {
   std::fflush(file_);
   ++records_in_segment_;
   ++records_appended_;
-  bytes_appended_ += scratch_.size();
+  bytes_appended_ += bytes;
   return true;
 }
 

@@ -81,7 +81,8 @@ class WindowSink {
 // Builds SealedWindows incrementally as a window runs: CutBoundary diffs the store's merged
 // running totals against the previous boundary's, AttachDiagnosis fills in what the live
 // diagnosis said there. Window drivers keep one sealer alive across windows (the scratch
-// dense-totals buffer is reused).
+// dense-totals buffer is reused) and may hand each published window back through Recycle, so
+// the next window's cuts reuse its delta buffers instead of allocating.
 class WindowSealer {
  public:
   void BeginWindow(uint64_t window_index) {
@@ -100,8 +101,13 @@ class WindowSealer {
     if (prev_totals_.size() < totals.size()) {
       prev_totals_.resize(totals.size(), PathObservation{});
     }
-    // First boundary of a window diffs against zero — nearly every probed slot changes.
-    boundary.deltas.reserve(pending_.boundaries.empty() ? totals.size() : 64);
+    if (!spare_deltas_.empty()) {
+      boundary.deltas = std::move(spare_deltas_.back());
+      spare_deltas_.pop_back();
+    }
+    // A boundary changes at most every slot; reserving that once keeps push_back from
+    // regrowing the buffer.
+    boundary.deltas.reserve(totals.size());
     for (size_t slot = 0; slot < totals.size(); ++slot) {
       const int64_t d_sent = totals[slot].sent - prev_totals_[slot].sent;
       const int64_t d_lost = totals[slot].lost - prev_totals_[slot].lost;
@@ -144,9 +150,19 @@ class WindowSealer {
     return std::move(pending_);
   }
 
+  // Takes back a window Finish returned, once every sink has seen it: its delta buffers,
+  // emptied, serve the next window's CutBoundary calls in boundary order.
+  void Recycle(SealedWindow&& window) {
+    for (auto it = window.boundaries.rbegin(); it != window.boundaries.rend(); ++it) {
+      it->deltas.clear();
+      spare_deltas_.push_back(std::move(it->deltas));
+    }
+  }
+
  private:
   SealedWindow pending_;
   Observations prev_totals_;  // dense totals at the previous boundary
+  std::vector<std::vector<SealedDelta>> spare_deltas_;  // emptied buffers from Recycle
 };
 
 }  // namespace detector

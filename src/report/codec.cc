@@ -53,20 +53,6 @@ const char* DecodeStatusName(DecodeStatus status) {
 
 namespace {
 
-size_t VarintSize(uint64_t value) {
-  return value < 0x80 ? 1 : static_cast<size_t>(std::bit_width(value) + 6) / 7;
-}
-
-// PutVarint into a buffer pre-sized by VarintSize; returns the end of the written bytes.
-uint8_t* WriteVarint(uint8_t* p, uint64_t value) {
-  while (value >= 0x80) {
-    *p++ = static_cast<uint8_t>(value) | 0x80;
-    value >>= 7;
-  }
-  *p++ = static_cast<uint8_t>(value);
-  return p;
-}
-
 // Hands every varint of one RTT record's ext payload to `put`, in wire order, straight from
 // the sketch's non-zero bins.
 template <typename Put>

@@ -39,6 +39,8 @@
 #ifndef SRC_REPORT_CODEC_H_
 #define SRC_REPORT_CODEC_H_
 
+#include <bit>
+#include <cstddef>
 #include <cstdint>
 #include <span>
 #include <vector>
@@ -162,6 +164,19 @@ class ReportCodec {
 
 // LEB128 varint + zigzag building blocks, exposed for the codec tests and bench.
 void PutVarint(std::vector<uint8_t>& out, uint64_t value);
+// Bytes PutVarint writes for `value`.
+inline size_t VarintSize(uint64_t value) {
+  return value < 0x80 ? 1 : static_cast<size_t>(std::bit_width(value) + 6) / 7;
+}
+// PutVarint into a buffer pre-sized by VarintSize; returns the end of the written bytes.
+inline uint8_t* WriteVarint(uint8_t* p, uint64_t value) {
+  while (value >= 0x80) {
+    *p++ = static_cast<uint8_t>(value) | 0x80;
+    value >>= 7;
+  }
+  *p++ = static_cast<uint8_t>(value);
+  return p;
+}
 // Reads a varint at *pos, advancing it. False when the bytes run out or the value would
 // overflow 64 bits.
 bool GetVarint(std::span<const uint8_t> bytes, size_t& pos, uint64_t& value);
