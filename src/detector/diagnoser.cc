@@ -73,14 +73,10 @@ Observations Diagnoser::AggregatedObservations(const ProbeMatrix& matrix,
 }
 
 std::vector<ServerLinkAlarm> Diagnoser::ServerLinkAlarms(const Watchdog& watchdog) const {
-  // A lossless record has ratio 0, so it alarms only under a packet floor <= 0 and a negative
-  // ratio threshold; otherwise the store's lossy-record index holds every candidate.
-  const PreprocessOptions& pre = options_.preprocess;
-  const bool lossless_can_alarm = pre.min_lost_packets <= 0 && pre.path_loss_ratio_threshold < 0;
+  // A lossless record has ratio 0, which never exceeds the (non-negative) ratio threshold, so
+  // the store's lossy-record index holds every candidate.
   std::vector<ServerLinkAlarm> alarms;
-  for (const IntraRackObservation& record : lossless_can_alarm
-                                                ? store_.IntraRackObservations(watchdog)
-                                                : store_.LossyIntraRackObservations(watchdog)) {
+  for (const IntraRackObservation& record : store_.LossyIntraRackObservations(watchdog)) {
     if (record.sent == 0) {
       continue;
     }

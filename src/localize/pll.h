@@ -6,6 +6,7 @@
 #ifndef SRC_LOCALIZE_PLL_H_
 #define SRC_LOCALIZE_PLL_H_
 
+#include "src/common/check.h"
 #include "src/localize/localizer.h"
 #include "src/localize/preprocess.h"
 
@@ -41,7 +42,10 @@ struct PllIncrementalState {
 
 class PllLocalizer : public Localizer {
  public:
-  explicit PllLocalizer(PllOptions options = PllOptions{}) : options_(options) {}
+  explicit PllLocalizer(PllOptions options = PllOptions{}) : options_(options) {
+    // A negative ratio threshold would call every path lossy, lossless ones included.
+    CHECK_GE(options_.preprocess.path_loss_ratio_threshold, 0.0);
+  }
 
   std::string name() const override { return "PLL"; }
   LocalizeResult Localize(const ProbeMatrix& matrix, const Observations& obs) const override;

@@ -255,32 +255,26 @@ TEST(Diagnoser, ServerLinkAlarmsMatchFullScan) {
     }
     return alarms;
   };
-  for (const bool lossless_alarms : {false, true}) {
-    PllOptions options;
-    if (lossless_alarms) {  // the configuration under which a lossless record alarms too
-      options.preprocess.min_lost_packets = 0;
-      options.preprocess.path_loss_ratio_threshold = -1.0;
+  const PllOptions options;
+  Diagnoser diagnoser(options);
+  Rng rng(11);
+  for (int p = 0; p < 6; ++p) {
+    ObservationStore::Shard& shard = diagnoser.store().OpenShard(servers[p]);
+    for (int i = 0; i < 40; ++i) {
+      const int64_t sent = rng.NextInt(0, 20);
+      const int64_t lost = rng.NextBernoulli(0.3) && sent > 0 ? rng.NextInt(0, sent + 1) : 0;
+      shard.RecordIntraRack(servers[rng.NextBounded(servers.size())], sent, lost);
     }
-    Diagnoser diagnoser(options);
-    Rng rng(11);
-    for (int p = 0; p < 6; ++p) {
-      ObservationStore::Shard& shard = diagnoser.store().OpenShard(servers[p]);
-      for (int i = 0; i < 40; ++i) {
-        const int64_t sent = rng.NextInt(0, 20);
-        const int64_t lost = rng.NextBernoulli(0.3) && sent > 0 ? rng.NextInt(0, sent + 1) : 0;
-        shard.RecordIntraRack(servers[rng.NextBounded(servers.size())], sent, lost);
-      }
+  }
+  Watchdog wd(ft.topology());
+  for (const bool flagged : {false, true}) {
+    if (flagged) {
+      wd.MarkDown(servers[1]);
+      wd.MarkDown(servers[7]);
     }
-    Watchdog wd(ft.topology());
-    for (const bool flagged : {false, true}) {
-      if (flagged) {
-        wd.MarkDown(servers[1]);
-        wd.MarkDown(servers[7]);
-      }
-      const std::vector<ServerLinkAlarm> want = full_scan(diagnoser, wd, options.preprocess);
-      ASSERT_FALSE(want.empty());
-      EXPECT_EQ(diagnoser.ServerLinkAlarms(wd), want);
-    }
+    const std::vector<ServerLinkAlarm> want = full_scan(diagnoser, wd, options.preprocess);
+    ASSERT_FALSE(want.empty());
+    EXPECT_EQ(diagnoser.ServerLinkAlarms(wd), want);
   }
 }
 

@@ -76,6 +76,14 @@ TEST(Pll, NoLossNoSuspects) {
   EXPECT_TRUE(PllLocalizer().Localize(matrix, obs).links.empty());
 }
 
+TEST(PllDeathTest, NegativeLossRatioThresholdDies) {
+  // A negative threshold would call lossless paths lossy; the options are rejected up front.
+  ::testing::FLAGS_gtest_death_test_style = "threadsafe";
+  PllOptions options;
+  options.preprocess.path_loss_ratio_threshold = -1.0;
+  EXPECT_DEATH(PllLocalizer{options}, "path_loss_ratio_threshold");
+}
+
 TEST(Pll, AmbientNoiseFilteredOut) {
   ToyMatrix toy(2);
   toy.AddPath({0});
