@@ -121,15 +121,16 @@ TEST(Crc32, StandardCheckVector) {
 }
 
 TEST(Crc32, SliceBy8MatchesBytewiseAtEveryLengthAndOffset) {
-  // Lengths 0..70 cover the empty input, tails of every size, and several 8-byte steps; the
+  // Lengths 0..600 cover the empty input, tails of every size, several 8-byte steps and, from
+  // 64 bytes on, the carry-less multiply folding path with every 16-byte fold count; the
   // start offsets 0..7 put the first step at every alignment.
   Rng rng(31);
-  std::vector<uint8_t> buffer(8 + 70);
+  std::vector<uint8_t> buffer(8 + 600);
   for (uint8_t& b : buffer) {
     b = static_cast<uint8_t>(rng.NextBounded(256));
   }
   for (size_t offset = 0; offset < 8; ++offset) {
-    for (size_t len = 0; len <= 70; ++len) {
+    for (size_t len = 0; len <= 600; ++len) {
       const std::span<const uint8_t> bytes(buffer.data() + offset, len);
       EXPECT_EQ(Crc32(bytes), Crc32Bytewise(bytes)) << "offset " << offset << " len " << len;
       // A non-zero seed chains a running checksum over split input.
@@ -138,24 +139,6 @@ TEST(Crc32, SliceBy8MatchesBytewiseAtEveryLengthAndOffset) {
       const size_t half = len / 2;
       EXPECT_EQ(Crc32(bytes.subspan(half), Crc32(bytes.subspan(0, half))), Crc32(bytes))
           << "chained, offset " << offset << " len " << len;
-    }
-  }
-}
-
-TEST(Crc32, LongInputsMatchBytewise) {
-  // Inputs of 64 bytes and more take the carry-less multiply folding path where the host has
-  // one: lengths 64..600 cover the 64-byte loop, every 16-byte fold count and every tail.
-  Rng rng(47);
-  std::vector<uint8_t> buffer(16 + 600);
-  for (uint8_t& b : buffer) {
-    b = static_cast<uint8_t>(rng.NextBounded(256));
-  }
-  for (size_t offset = 0; offset < 16; offset += 3) {
-    for (size_t len = 64; len <= 600; ++len) {
-      const std::span<const uint8_t> bytes(buffer.data() + offset, len);
-      EXPECT_EQ(Crc32(bytes), Crc32Bytewise(bytes)) << "offset " << offset << " len " << len;
-      EXPECT_EQ(Crc32(bytes, 0xDEADBEEFu), Crc32Bytewise(bytes, 0xDEADBEEFu))
-          << "seeded, offset " << offset << " len " << len;
     }
   }
 }
