@@ -1,8 +1,8 @@
 // Deterministic, seedable PRNG used throughout the simulator so every experiment is
 // reproducible from a seed. xoshiro256** core seeded via SplitMix64. Every distribution is
-// written here on top of it, none comes from <random>: a seed names the same sample stream
-// under any standard library, and no draw touches global state (libstdc++'s binomial set-up
-// calls lgamma, which writes the global signgam).
+// written here on top of it, none comes from the standard library: a seed names the same
+// sample stream under any toolchain, and no draw touches global state (libstdc++'s binomial
+// set-up calls lgamma, which writes the global signgam).
 #ifndef SRC_COMMON_RNG_H_
 #define SRC_COMMON_RNG_H_
 
