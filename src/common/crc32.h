@@ -88,7 +88,6 @@ __attribute__((target("pclmul,sse4.1"))) inline uint32_t Crc32Clmul(uint32_t c, 
   const auto load = [](const uint8_t* at) {
     return _mm_loadu_si128(reinterpret_cast<const __m128i*>(at));
   };
-  const auto fold = ClmulFold;
   __m128i x0 = _mm_xor_si128(load(p), _mm_cvtsi32_si128(static_cast<int>(c)));
   __m128i x1 = load(p + 16);
   __m128i x2 = load(p + 32);
@@ -97,15 +96,15 @@ __attribute__((target("pclmul,sse4.1"))) inline uint32_t Crc32Clmul(uint32_t c, 
   n -= 64;
   const __m128i k64 = _mm_set_epi64x(0x1c6e41596, 0x154442bd4);
   for (; n >= 64; p += 64, n -= 64) {
-    x0 = fold(x0, k64, load(p));
-    x1 = fold(x1, k64, load(p + 16));
-    x2 = fold(x2, k64, load(p + 32));
-    x3 = fold(x3, k64, load(p + 48));
+    x0 = ClmulFold(x0, k64, load(p));
+    x1 = ClmulFold(x1, k64, load(p + 16));
+    x2 = ClmulFold(x2, k64, load(p + 32));
+    x3 = ClmulFold(x3, k64, load(p + 48));
   }
   const __m128i k16 = _mm_set_epi64x(0x0ccaa009e, 0x1751997d0);
-  __m128i x = fold(fold(fold(x0, k16, x1), k16, x2), k16, x3);
+  __m128i x = ClmulFold(ClmulFold(ClmulFold(x0, k16, x1), k16, x2), k16, x3);
   for (; n >= 16; p += 16, n -= 16) {
-    x = fold(x, k16, load(p));
+    x = ClmulFold(x, k16, load(p));
   }
   // 128 → 64 bits (appending 32 zero bits), then 64 → 32.
   const __m128i mask32 = _mm_set_epi32(0, 0, 0, -1);
@@ -121,7 +120,10 @@ __attribute__((target("pclmul,sse4.1"))) inline uint32_t Crc32Clmul(uint32_t c, 
 }
 
 inline bool HostHasClmul() {
-  static const bool has = __builtin_cpu_supports("pclmul") && __builtin_cpu_supports("sse4.1");
+  static const bool has = [] {
+    __builtin_cpu_init();  // CPU detection may not have run yet during static initialisation
+    return __builtin_cpu_supports("pclmul") && __builtin_cpu_supports("sse4.1");
+  }();
   return has;
 }
 #endif
